@@ -138,8 +138,9 @@ def verify(program: Dfa, dep, config: VerifyConfig | None = None):
             t_check = time.monotonic() - t0
 
             if covered:
+                rounds.append(RoundRecord(number, [], [], len(proof),
+                                          t_build, t_check))
                 stats.update(proof_size=len(proof), rounds=number,
-                             solver_queries=solver.num_queries,
                              cache_entries=len(cache))
                 if cfg.validate and not _revalidate(program, dep, cfg, proof):
                     return Unknown("revalidation failed", rounds, stats)
@@ -165,8 +166,7 @@ def verify(program: Dfa, dep, config: VerifyConfig | None = None):
                 if model is not None:
                     replayed = proofdb.replay(trace, model)
                     assert replayed is not None, "model does not replay"
-                    stats.update(proof_size=len(proof), rounds=number,
-                                 solver_queries=solver.num_queries)
+                    stats.update(proof_size=len(proof), rounds=number)
                     rounds.append(RoundRecord(
                         number, list(words[: words.index(w) + 1]),
                         [fmt(f) for f in new_assertions], len(proof),
@@ -198,11 +198,15 @@ def verify(program: Dfa, dep, config: VerifyConfig | None = None):
     except (ac.ResourceLimit, ReductionTooLarge, proofdb.InterpolationError) as e:
         return Unknown(str(e), rounds, stats)
     finally:
+        # every verdict, Unknown included, carries the loop's solver and
+        # cache counters (the verdict shares this dict)
+        stats.update(solver_queries=solver.num_queries,
+                     cache_hits=cache.hits, cache_misses=cache.misses)
         solver.close()
 
 
 def _revalidate(program: Dfa, dep, cfg: VerifyConfig, proof) -> bool:
-    """Independent re-check: fresh solver process, fresh fixpoint engine."""
+    """Independent re-check: fresh solver instance, fresh fixpoint engine."""
     try:
         with proofdb.SolverClient(cfg.solver_command) as solver:
             nfa = proofdb.build_proof_nfa(proof, program.alphabet, solver)

@@ -1,6 +1,7 @@
 """Command-line driver: verify one program, or run a benchmark directory.
 
-Exit codes: 0 safe, 1 unsafe, 2 unknown, 64 usage error.
+Exit codes of verify: 0 safe, 1 unsafe, 2 unknown, 64 usage error.
+Exit codes of bench: 0 when every row matches its .expect, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ EXIT_SAFE = 0
 EXIT_UNSAFE = 1
 EXIT_UNKNOWN = 2
 EXIT_USAGE = 64
+EXIT_MISMATCH = 1
 
 
 def formula_to_json(f):
@@ -312,8 +314,9 @@ def cmd_bench(args) -> int:
                 w = csv.DictWriter(fh, fieldnames=list(rows[0]))
                 w.writeheader()
                 w.writerows(rows)
-    print(f"\n{len(rows)} benchmarks, {sum(1 for r in rows if r['ok'])} matching expectations")
-    return EXIT_SAFE
+    matching = sum(1 for r in rows if r["ok"])
+    print(f"\n{len(rows)} benchmarks, {matching} matching expectations")
+    return EXIT_SAFE if matching == len(rows) else EXIT_MISMATCH
 
 
 def make_parser() -> argparse.ArgumentParser:

@@ -1,9 +1,12 @@
 """Assertions, Hoare triples, the proof NFA, feasibility, interpolation.
 
-All solver contact goes through an SMT-LIB v2 child process (the bundled
-``hyperweave.smtserver`` by default).  Entailment verdicts are cached across
-refinement rounds; interpolation chains are re-validated triple by triple so
-a generation bug can never produce an unsound proof automaton.
+All solver contact goes through one ``SolverClient``.  By default it solves
+in this process with ``lia``; given a command (``--solver`` /
+``HYPERWEAVE_SOLVER``) it drives an SMT-LIB v2 child process instead, e.g.
+``z3 -in`` or the bundled ``python -m hyperweave.smtserver``.  Entailment
+verdicts are cached across refinement rounds; interpolation chains are
+re-validated triple by triple so a generation bug can never produce an
+unsound proof automaton.
 """
 
 from __future__ import annotations
@@ -12,10 +15,8 @@ import os
 import select
 import shlex
 import subprocess
-import sys
-import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exprs, lia
@@ -28,24 +29,30 @@ class SolverError(Exception):
     """Solver unavailable, crashed, or answered unknown."""
 
 
-def default_solver_command() -> list[str]:
-    env = os.environ.get("HYPERWEAVE_SOLVER")
-    if env:
-        return shlex.split(env)
-    return [sys.executable, "-m", "hyperweave.smtserver"]
+# What lia and exprs raise on formulas they cannot handle.
+_LIA_ERRORS = (ValueError, exprs.NonlinearError, OverflowError, RecursionError)
 
 
 class SolverClient:
-    """One long-lived SMT-LIB v2 process; one push/pop scope per query."""
+    """Satisfiability of conjunctions of canonical formulas.
+
+    Without a command (and without ``HYPERWEAVE_SOLVER``) every query is
+    solved in this process by ``lia.solve_formula``.  With one, a single
+    long-lived SMT-LIB v2 process answers it, one push/pop scope per query.
+    Either way an ``unknown`` answer or a solver fault raises SolverError.
+    """
 
     def __init__(self, command=None, timeout: float = 60.0):
         if command is None:
-            command = default_solver_command()
-        elif isinstance(command, str):
+            command = os.environ.get("HYPERWEAVE_SOLVER") or None
+        if isinstance(command, str):
             command = shlex.split(command)
         self.command = command
         self.timeout = timeout
         self.num_queries = 0
+        self.proc = None
+        if command is None:
+            return
         env = None
         if "hyperweave.smtserver" in command:
             # the bundled server must find this package even when it is not
@@ -61,6 +68,20 @@ class SolverClient:
             raise SolverError(f"cannot start solver {command!r}: {e}") from e
         self._buf = b""
         self._send("(set-logic QF_LIA)")
+
+    # ---- in-process backend
+
+    @staticmethod
+    def _solve(formulas):
+        try:
+            res, model = lia.solve_formula(exprs.c_and(formulas))
+        except _LIA_ERRORS as e:
+            raise SolverError(f"solver raised {e!r}") from e
+        if res not in ("sat", "unsat"):
+            raise SolverError(f"solver answered {res!r} on: {_detail(formulas)}")
+        return res, model
+
+    # ---- SMT-LIB v2 child backend
 
     def _send(self, line: str):
         try:
@@ -93,29 +114,28 @@ class SolverClient:
             text += " " + self._read_line()
         return text
 
+    def _read_answer(self, formulas) -> str:
+        res = self._read_line()
+        if res not in ("sat", "unsat"):
+            raise SolverError(f"solver answered {res!r} on: {_detail(formulas)}")
+        return res
+
+    # ---- the interface
+
     def check_sat(self, formulas, get_model: bool = False):
         """Returns ('sat', model|None) / ('unsat', None); raises on unknown."""
         self.num_queries += 1
-        names = set()
-        for f in formulas:
-            names |= exprs.vars_of(f)
-        self._send("(push 1)")
+        if self.proc is None:
+            res, model = self._solve(formulas)
+            return res, (model if get_model else None)
+        self._send("\n".join(["(push 1)", *_smt_query(formulas)]))
         try:
-            for v in sorted(names):
-                self._send(f"(declare-const {v} Int)")
-            for f in formulas:
-                self._send(f"(assert {exprs.to_smt(f)})")
-            self._send("(check-sat)")
-            res = self._read_line()
-            if res == "sat":
-                model = None
-                if get_model:
-                    self._send("(get-model)")
-                    model = _parse_model(self._read_sexpr())
-                return "sat", model
-            if res == "unsat":
-                return "unsat", None
-            raise SolverError(f"solver answered {res!r}")
+            res = self._read_answer(formulas)
+            model = None
+            if res == "sat" and get_model:
+                self._send("(get-model)")
+                model = _parse_model(self._read_sexpr())
+            return res, model
         finally:
             try:
                 self._send("(pop 1)")
@@ -133,36 +153,29 @@ class SolverClient:
     BATCH = 400
 
     def check_sat_batch(self, queries) -> list:
-        """Pipelined satisfiability of many conjunctions (no models).
+        """Satisfiability of many conjunctions (no models), pipelined when a
+        child process answers.
 
         queries: list of formula lists; returns 'sat'/'unsat' per entry.
         """
+        self.num_queries += len(queries)
+        if self.proc is None:
+            return [self._solve(formulas)[0] for formulas in queries]
         out = []
         for lo in range(0, len(queries), self.BATCH):
             chunk = queries[lo: lo + self.BATCH]
-            self.num_queries += len(chunk)
             lines = []
             for formulas in chunk:
-                names = set()
-                for f in formulas:
-                    names |= exprs.vars_of(f)
                 lines.append("(push 1)")
-                for v in sorted(names):
-                    lines.append(f"(declare-const {v} Int)")
-                for f in formulas:
-                    lines.append(f"(assert {exprs.to_smt(f)})")
-                lines.append("(check-sat)")
+                lines.extend(_smt_query(formulas))
                 lines.append("(pop 1)")
             self._send("\n".join(lines))
-            for formulas in chunk:
-                res = self._read_line()
-                if res not in ("sat", "unsat"):
-                    detail = "; ".join(exprs.to_smt(f) for f in formulas)
-                    raise SolverError(f"solver answered {res!r} on: {detail[:500]}")
-                out.append(res)
+            out.extend(self._read_answer(formulas) for formulas in chunk)
         return out
 
     def close(self):
+        if self.proc is None:
+            return
         try:
             self._send("(exit)")
         except SolverError:
@@ -177,6 +190,20 @@ class SolverClient:
 
     def __exit__(self, *exc):
         self.close()
+
+
+def _smt_query(formulas) -> list[str]:
+    """Declarations, assertions and check-sat for one query, as SMT-LIB lines."""
+    names = set()
+    for f in formulas:
+        names |= exprs.vars_of(f)
+    return ([f"(declare-const {v} Int)" for v in sorted(names)]
+            + [f"(assert {exprs.to_smt(f)})" for f in formulas]
+            + ["(check-sat)"])
+
+
+def _detail(formulas) -> str:
+    return "; ".join(exprs.fmt(f) for f in formulas)[:500]
 
 
 def _parse_model(text: str) -> dict:
@@ -218,31 +245,43 @@ def wp_stmt(stmt: Stmt, post):
 # -------------------------------------------------------------- entailment
 
 class EntailmentCache:
-    """Thread-safe verdict cache for Hoare triples, shared across rounds."""
+    """Verdict cache for Hoare triples, shared across rounds."""
 
     def __init__(self):
         self._data: dict = {}
-        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
     def get(self, key):
-        with self._lock:
-            v = self._data.get(key)
-            if v is not None:
-                self.hits += 1
-            return v
+        v = self._data.get(key)
+        if v is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return v
 
     def put(self, key, value: bool):
-        with self._lock:
-            self._data[key] = value
+        self._data[key] = value
 
     def __len__(self):
         return len(self._data)
 
     def items(self):
-        with self._lock:
-            return list(self._data.items())
+        return list(self._data.items())
+
+
+def syntactic_verdict(pre, stmt: Stmt, post, wpf):
+    """Validity of {pre} stmt {post} on syntactic grounds (wpf is the weakest
+    precondition of post), or None when the solver must decide."""
+    if post == TRUE or pre == FALSE:
+        return True
+    if exprs.implies(pre, wpf):
+        return True
+    if pre == post and not (stmt.writes & exprs.vars_of(pre)):
+        return True
+    if wpf == FALSE:
+        return pre == FALSE
+    return None
 
 
 def hoare_valid(pre, stmt: Stmt, post, solver: SolverClient,
@@ -253,24 +292,14 @@ def hoare_valid(pre, stmt: Stmt, post, solver: SolverClient,
         hit = cache.get(key)
         if hit is not None:
             return hit
-    result = _hoare_query(pre, stmt, post, solver)
+    wpf = wp_stmt(stmt, post)
+    result = syntactic_verdict(pre, stmt, post, wpf)
+    if result is None:
+        res, _ = solver.check_sat([pre, exprs.negate(wpf)])
+        result = res == "unsat"
     if cache is not None:
         cache.put(key, result)
     return result
-
-
-def _hoare_query(pre, stmt: Stmt, post, solver: SolverClient) -> bool:
-    if post == TRUE or pre == FALSE:
-        return True
-    if pre == post and not (stmt.writes & exprs.vars_of(pre)):
-        return True
-    wpf = wp_stmt(stmt, post)
-    if exprs.implies(pre, wpf):
-        return True
-    if wpf == FALSE:
-        return pre == FALSE
-    res, _ = solver.check_sat([pre, exprs.negate(wpf)])
-    return res == "unsat"
 
 
 # ------------------------------------------------------------------- proof
@@ -337,7 +366,7 @@ class ProofNfaBuilder:
                     key = (pre, stmt.id, post)
                     hit = self.cache.get(key)
                     if hit is None:
-                        hit = self._fast_verdict(pre, stmt, post, wpf)
+                        hit = syntactic_verdict(pre, stmt, post, wpf)
                     if hit is None:
                         if neg_wpf is None:
                             neg_wpf = exprs.negate(wpf)
@@ -358,19 +387,6 @@ class ProofNfaBuilder:
         for (i, sid, j) in self.edges:
             trans.setdefault((i, stmt_by_id[sid]), set()).add(j)
         return Nfa(n, self.alphabet, trans, proof.index(TRUE), {proof.index(FALSE)})
-
-    @staticmethod
-    def _fast_verdict(pre, stmt, post, wpf):
-        """True/False on syntactic grounds, None when the solver must decide."""
-        if post == TRUE or pre == FALSE:
-            return True
-        if exprs.implies(pre, wpf):
-            return True
-        if pre == post and not (stmt.writes & exprs.vars_of(pre)):
-            return True
-        if wpf == FALSE:
-            return pre == FALSE
-        return None
 
 
 def build_proof_nfa(proof: Proof, alphabet, solver: SolverClient,

@@ -1,9 +1,10 @@
 """A minimal QF_LIA solver behind the SMT-LIB v2 stdio protocol.
 
-Run as ``python -m hyperweave.smtserver``.  This is the default solver
-subprocess for the verifier so that no external SMT solver is required; any
-SMT-LIB v2 solver (z3 -in, cvc5 --incremental, ...) can be substituted via
---solver / HYPERWEAVE_SOLVER.
+Run as ``python -m hyperweave.smtserver``.  The verifier solves in-process
+with ``lia`` by default and starts a solver child only when given
+--solver / HYPERWEAVE_SOLVER; this server is the bundled choice for that
+(``--solver 'python -m hyperweave.smtserver'``), and any other SMT-LIB v2
+solver (z3 -in, cvc5 --incremental, ...) works the same way.
 
 Supported commands: set-logic, set-option, set-info, declare-const,
 declare-fun (0-ary Int), assert, push, pop, check-sat, get-model, echo,

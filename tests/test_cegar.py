@@ -1,6 +1,6 @@
 import pytest
 
-from hyperweave import cegar, exprs, proofdb
+from hyperweave import cegar, exprs, lia, proofdb
 from hyperweave.antichain import Strategy
 from hyperweave.automata import determinize
 from hyperweave.cegar import RoundRecord, VerifyConfig, progress_audit, verify
@@ -22,7 +22,8 @@ def test_trivially_safe_one_round():
     v = verify(dfa, dep, VerifyConfig(timeout=30))
     assert v.verdict == "safe"
     assert len(v.proof) == 2  # just true and false
-    assert v.rounds == []
+    assert len(v.rounds) == 1 and v.rounds[0].new_assertions == []
+    assert v.stats["rounds"] == 1
 
 
 def test_trivially_unsafe_with_replayable_model():
@@ -104,6 +105,26 @@ def test_proof_cap_returns_unknown():
         assert "proof size" in v.reason
 
 
+def test_stats_rounds_match_round_records():
+    dfa, dep, _ = load_program(SIMPLEINC)
+    safe = verify(dfa, dep, VerifyConfig(timeout=60))
+    assert safe.verdict == "safe"
+    assert safe.stats["rounds"] == len(safe.rounds)
+    assert safe.rounds[-1].counterexamples == []
+    assert progress_audit(safe.rounds)
+    dfa, dep, _ = load_program("var x; x := 1; assume(x = 1);")
+    unsafe = verify(dfa, dep, VerifyConfig(timeout=30))
+    assert unsafe.verdict == "unsafe"
+    assert unsafe.stats["rounds"] == len(unsafe.rounds)
+
+
+def test_cache_counters_reported():
+    dfa, dep, _ = load_program(SIMPLEINC)
+    v = verify(dfa, dep, VerifyConfig(timeout=60))
+    assert v.stats["cache_misses"] > 0 and v.stats["cache_hits"] >= 0
+    assert v.stats["cache_misses"] >= v.stats["cache_entries"]
+
+
 def test_solver_failure_is_unknown():
     dfa, dep, _ = load_program(SIMPLEINC)
     v = verify(dfa, dep, VerifyConfig(timeout=30,
@@ -119,3 +140,21 @@ def test_multi_counterexample_round():
     v2 = verify(dfa, dep, VerifyConfig(strategy=Strategy("bpe", "l", 3),
                                        timeout=60))
     assert v2.verdict == "safe"
+
+
+@pytest.mark.parametrize("fault", [ValueError("bad formula"),
+                                   exprs.NonlinearError("x * y"),
+                                   OverflowError("too big"),
+                                   RecursionError("too deep"),
+                                   ("unknown", None)])
+def test_in_process_solver_fault_is_unknown(monkeypatch, fault):
+    def solve_formula(f, want_model=True):
+        if isinstance(fault, Exception):
+            raise fault
+        return fault
+
+    monkeypatch.setattr(lia, "solve_formula", solve_formula)
+    dfa, dep, _ = load_program(SIMPLEINC)
+    v = verify(dfa, dep, VerifyConfig(timeout=30))
+    assert v.verdict == "unknown"
+    assert "solver" in v.reason

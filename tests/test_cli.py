@@ -111,7 +111,7 @@ def test_bench_runs_and_flags_mismatches(tmp_path, capsys):
     (tmp_path / "liar.imp").write_text(UNSAFE_SRC)
     (tmp_path / "liar.expect").write_text('{"verdict": "safe"}')
     out_prefix = str(tmp_path / "report")
-    assert main(["bench", str(tmp_path), "--out", out_prefix]) == 0
+    assert main(["bench", str(tmp_path), "--out", out_prefix]) == 1
     printed = capsys.readouterr().out
     assert "MISMATCH" in printed
     report = json.loads(open(out_prefix + ".json").read())

@@ -151,3 +151,22 @@ def test_batch_matches_single(solver):
         queries.append(f)
         singles.append(solver.check_sat(f)[0])
     assert solver.check_sat_batch(queries) == singles
+
+
+def test_in_process_faults_raise_solver_error(solver):
+    x = var("x")
+    too_many_ne = [cmp("!=", x, num(k)) for k in range(proofdb.lia.MAX_NE_SPLIT + 1)]
+    with pytest.raises(proofdb.SolverError, match="unknown"):
+        solver.check_sat(too_many_ne)
+    with pytest.raises(proofdb.SolverError):
+        solver.check_sat_batch([[("bogus",)]])
+    # the client stays usable after a fault
+    assert solver.check_sat([cmp("=", x, num(1))])[0] == "sat"
+
+
+def test_cache_counts_hits_and_misses():
+    cache = proofdb.EntailmentCache()
+    assert cache.get("k") is None
+    cache.put("k", True)
+    assert cache.get("k") is True
+    assert (cache.hits, cache.misses) == (1, 1)

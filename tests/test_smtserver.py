@@ -1,7 +1,17 @@
+import os
+import random
 import subprocess
 import sys
 
+import pytest
+
+from hyperweave import proofdb
+from hyperweave.cli import run_benchmark
+from hyperweave.exprs import atom_from_cmp, num, var
 from hyperweave.smtserver import parse_sexprs
+
+BENCH_DIR = os.path.join(os.path.dirname(__file__), "..", "benchmarks")
+SMTSERVER = [sys.executable, "-m", "hyperweave.smtserver"]
 
 
 def run_server(script: str) -> list:
@@ -89,3 +99,38 @@ def test_error_reply_keeps_session_alive():
 """)
     assert out[0].startswith("(error")
     assert out[1] == "sat"
+
+
+@pytest.mark.parametrize("name", ["parallel/simpleinc", "unsafe/mult_dist_unsafe"])
+def test_smtlib_child_matches_in_process(name):
+    path = os.path.join(BENCH_DIR, name + ".imp")
+    _, default = run_benchmark(path)
+    _, child = run_benchmark(path, {"solver": SMTSERVER})
+    assert child.verdict == default.verdict == (
+        "unsafe" if name.startswith("unsafe/") else "safe")
+    assert len(child.rounds) == len(default.rounds)
+    for key in ("proof_size", "solver_queries"):
+        assert child.stats[key] == default.stats[key], key
+    if default.verdict == "unsafe":
+        assert proofdb.replay(default.trace, default.model) is not None
+        assert proofdb.replay(child.trace, child.model) is not None
+
+
+def test_smtlib_client_agrees_with_in_process():
+    rng = random.Random(5)
+    queries = []
+    for _ in range(30):
+        x, y = var("x"), var("y")
+        queries.append([atom_from_cmp(rng.choice(["<=", ">=", "=", "!="]),
+                                      ("add", x, y), num(rng.randint(-3, 3))),
+                        atom_from_cmp(rng.choice(["<", ">", "="]), x,
+                                      num(rng.randint(-3, 3)))])
+    with proofdb.SolverClient() as local, proofdb.SolverClient(SMTSERVER) as child:
+        assert child.proc is not None and local.proc is None
+        assert child.check_sat_batch(queries) == local.check_sat_batch(queries)
+        for q in queries:
+            res, model = child.check_sat(q, get_model=True)
+            assert res == local.check_sat(q)[0]
+            if res == "sat":
+                assert proofdb.exprs.eval_formula(proofdb.exprs.c_and(q), model)
+        assert child.num_queries == local.num_queries == 2 * len(queries)
