@@ -8,15 +8,14 @@ antichain-optimized fixpoint inside a counterexample-guided refinement loop.
 
 from .antichain import Strategy, check, extract_counterexamples
 from .cegar import Safe, Unknown, Unsafe, VerifyConfig, progress_audit, verify
-from .frontend import (atomic_blocks, compute_dependence, load_program,
-                       lower_to_dfa, parse_program)
+from .frontend import (compute_dependence, load_program, lower_to_dfa,
+                       parse_program)
 from .reduction import LINEAR, PARTITION, OrderSource, sleep_reduction_lta
 
 __all__ = [
     "Strategy", "check", "extract_counterexamples",
     "Safe", "Unsafe", "Unknown", "VerifyConfig", "progress_audit", "verify",
-    "atomic_blocks", "compute_dependence", "load_program", "lower_to_dfa",
-    "parse_program",
+    "compute_dependence", "load_program", "lower_to_dfa", "parse_program",
     "LINEAR", "PARTITION", "OrderSource", "sleep_reduction_lta",
 ]
 

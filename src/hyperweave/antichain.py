@@ -11,7 +11,8 @@ demand from per-element insertion ranks rather than stored per order.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import islice
 
 from .automata import Dfa, reindex
 from .reduction import OrderSource, _dep_masks
@@ -188,7 +189,6 @@ def _partition_survivors(children, dmasks, full: int, stats,
 class CheckResult:
     covered: bool
     forest: "CexForest | None"
-    table: dict
     stats: Stats
 
 
@@ -294,8 +294,7 @@ def check(ap: Dfa, api: Dfa, dep, orders: OrderSource,
     engine = CheckEngine(ap, api, dep, orders, max_cells)
     covered = engine.run()
     forest = None if covered else CexForest(engine, thin=thin)
-    table = {cell: tuple(v) for cell, v in engine.cells.items() if v}
-    return CheckResult(covered, forest, table, engine.stats)
+    return CheckResult(covered, forest, engine.stats)
 
 
 # -------------------------------------------------------- witnesses / tree
@@ -468,9 +467,10 @@ def _kth_leaf(forest, counts, index: int) -> tuple:
     return tuple(path)
 
 
-def all_leaf_strings(forest, cap: int = 200000) -> list:
-    """Every root-to-leaf string in branch (DFS) order, deduplicated."""
-    out = []
+def _leaf_strings(forest, cap: int | None = None):
+    """Root-to-leaf strings in branch (DFS) order, deduplicated, lazily.
+
+    cap bounds the pending stack (None: unbounded)."""
     seen = set()
     stack = [(forest.root, ())]
     while stack:
@@ -478,29 +478,22 @@ def all_leaf_strings(forest, cap: int = 200000) -> list:
         if forest.is_leaf(node):
             if path not in seen:
                 seen.add(path)
-                out.append(path)
+                yield path
             continue
         for a, child in reversed(forest.children(node)):
             stack.append((child, path + (a,)))
-        if len(stack) > cap:
+        if cap is not None and len(stack) > cap:
             raise ResourceLimit("counterexample tree too large")
-    return out
+
+
+def all_leaf_strings(forest, cap: int = 200000) -> list:
+    """Every root-to-leaf string in branch (DFS) order, deduplicated."""
+    return list(_leaf_strings(forest, cap))
 
 
 def leftmost_leaves(forest, n: int) -> list:
-    out = []
-    seen = set()
-    stack = [(forest.root, ())]
-    while stack and len(out) < n:
-        node, path = stack.pop()
-        if forest.is_leaf(node):
-            if path not in seen:
-                seen.add(path)
-                out.append(path)
-            continue
-        for a, child in reversed(forest.children(node)):
-            stack.append((child, path + (a,)))
-    return out
+    """The first n strings of the traversal all_leaf_strings uses."""
+    return list(islice(_leaf_strings(forest), n))
 
 
 def middlemost_leaves(forest, n: int) -> list:

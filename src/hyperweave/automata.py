@@ -158,14 +158,6 @@ def eliminate_epsilon(n: int, trans: dict, eps: dict, initial: int, finals: set,
     return Nfa(n, tuple(alphabet), out_trans, initial, out_finals)
 
 
-def dfa_to_nfa(dfa: Dfa) -> Nfa:
-    trans = {}
-    for q, row in enumerate(dfa.delta):
-        for i, t in enumerate(row):
-            trans.setdefault((q, dfa.alphabet[i]), set()).add(t)
-    return Nfa(dfa.n, dfa.alphabet, trans, dfa.initial, set(dfa.finals))
-
-
 def shuffle(a: Dfa, b: Dfa) -> Dfa:
     """All interleavings of L(a) and L(b); alphabets must be disjoint."""
     if set(a.alphabet) & set(b.alphabet):
@@ -195,24 +187,6 @@ def shuffle(a: Dfa, b: Dfa) -> Dfa:
     finals = frozenset(i for i, (p, q) in enumerate(order)
                        if p in a.finals and q in b.finals)
     return Dfa(alphabet, delta, 0, finals)
-
-
-def concat(a: Dfa, b: Dfa) -> Dfa:
-    """L(a)·L(b) over the union alphabet."""
-    alphabet = a.alphabet + tuple(x for x in b.alphabet if x not in a.alphabet)
-    n = a.n + b.n
-    off = a.n
-    trans: dict = {}
-    for q, row in enumerate(a.delta):
-        for i, t in enumerate(row):
-            trans.setdefault((q, a.alphabet[i]), set()).add(t)
-    for q, row in enumerate(b.delta):
-        for i, t in enumerate(row):
-            trans.setdefault((off + q, b.alphabet[i]), set()).add(off + t)
-    eps = {q: {off + b.initial} for q in a.finals}
-    finals = {off + q for q in b.finals}
-    nfa = eliminate_epsilon(n, trans, eps, a.initial, finals, alphabet)
-    return determinize(nfa, alphabet)
 
 
 def reindex(dfa: Dfa, alphabet: tuple) -> Dfa:

@@ -68,6 +68,10 @@ class Unknown:
     verdict = "unknown"
 
 
+MAX_ROUNDS = 400
+CEX_CAP = 200000                   # pending-stack cap of the 'pe' strategy
+
+
 @dataclass
 class VerifyConfig:
     strategy: ac.Strategy = ac.Strategy("bpe", "rr")
@@ -76,10 +80,7 @@ class VerifyConfig:
     solver_command: object = None
     timeout: float = 300.0
     max_proof: int = 512
-    max_rounds: int = 400
     interpolation: str = "farkas"
-    validate: bool = True
-    cex_cap: int = 200000
 
 
 class _BaselineChecker:
@@ -93,7 +94,22 @@ class _BaselineChecker:
         inact = ltamod.inactive_baseline(m)
         covered = m.initial not in inact.inactive
         forest = None if covered else ltamod.build_counterexample_tree(m, inact)
-        return covered, forest
+        return covered, forest, None
+
+
+def _checker(program: Dfa, dep, cfg: VerifyConfig):
+    """The emptiness check cfg selects: api -> (covered, forest, stats).
+
+    stats is the antichain engine's counter dict, None for the baseline.
+    """
+    if not cfg.use_antichain:
+        return _BaselineChecker(program, dep, cfg.orders).check
+    thin = cfg.orders.kind == "partition" and cfg.strategy.kind == "bpe"
+
+    def check(api: Dfa):
+        result = ac.check(program, api, dep, cfg.orders, thin=thin)
+        return result.covered, result.forest, result.stats.as_dict()
+    return check
 
 
 def verify(program: Dfa, dep, config: VerifyConfig | None = None):
@@ -113,12 +129,10 @@ def verify(program: Dfa, dep, config: VerifyConfig | None = None):
     cache = proofdb.EntailmentCache()
     builder = proofdb.ProofNfaBuilder(program.alphabet, solver, cache)
     proof = proofdb.Proof()
-    baseline = None
 
     try:
-        if not cfg.use_antichain:
-            baseline = _BaselineChecker(program, dep, cfg.orders)
-        for number in range(1, cfg.max_rounds + 1):
+        check = _checker(program, dep, cfg)
+        for number in range(1, MAX_ROUNDS + 1):
             if time.monotonic() > deadline:
                 return Unknown("timeout", rounds, stats)
 
@@ -128,13 +142,9 @@ def verify(program: Dfa, dep, config: VerifyConfig | None = None):
             t_build = time.monotonic() - t0
 
             t0 = time.monotonic()
-            if cfg.use_antichain:
-                thin = cfg.orders.kind == "partition" and cfg.strategy.kind == "bpe"
-                result = ac.check(program, api, dep, cfg.orders, thin=thin)
-                covered, forest = result.covered, result.forest
-                stats["check"] = result.stats.as_dict()
-            else:
-                covered, forest = baseline.check(api)
+            covered, forest, check_stats = check(api)
+            if check_stats is not None:
+                stats["check"] = check_stats
             t_check = time.monotonic() - t0
 
             if covered:
@@ -142,30 +152,35 @@ def verify(program: Dfa, dep, config: VerifyConfig | None = None):
                                           t_build, t_check))
                 stats.update(proof_size=len(proof), rounds=number,
                              cache_entries=len(cache))
-                if cfg.validate and not _revalidate(program, dep, cfg, proof):
+                if not _revalidate(program, dep, cfg, proof):
                     return Unknown("revalidation failed", rounds, stats)
                 return Safe(list(proof), rounds, stats)
 
             if strategy.kind == "naive":
                 word = first_difference_trace(program, api)
-                assert word is not None, "NotCovered but program inside proof"
+                if word is None:
+                    return Unknown("naive strategy found no difference trace",
+                                   rounds, stats)
                 words = [tuple(program.alphabet.index(s) for s in word)]
             else:
                 words = ac.extract_counterexamples(forest, program.alphabet,
-                                                   strategy, cfg.cex_cap)
-            assert words, "NotCovered yielded no counterexamples"
+                                                   strategy, CEX_CAP)
+            if not words:
+                return Unknown("no counterexample extracted", rounds, stats)
 
             new_assertions: list = []
             for w in words:
                 if time.monotonic() > deadline:
                     return Unknown("timeout", rounds, stats)
-                assert w not in seen_cexs, "counterexample repeated across rounds"
+                if w in seen_cexs:
+                    return Unknown("counterexample repeated across rounds",
+                                   rounds, stats)
                 seen_cexs.add(w)
                 trace = [program.alphabet[a] for a in w]
                 model = proofdb.feasible(trace, solver)
                 if model is not None:
-                    replayed = proofdb.replay(trace, model)
-                    assert replayed is not None, "model does not replay"
+                    if proofdb.replay(trace, model) is None:
+                        return Unknown("model does not replay", rounds, stats)
                     stats.update(proof_size=len(proof), rounds=number)
                     rounds.append(RoundRecord(
                         number, list(words[: words.index(w) + 1]),
@@ -211,9 +226,7 @@ def _revalidate(program: Dfa, dep, cfg: VerifyConfig, proof) -> bool:
         with proofdb.SolverClient(cfg.solver_command) as solver:
             nfa = proofdb.build_proof_nfa(proof, program.alphabet, solver)
             api = determinize(nfa, program.alphabet)
-            if cfg.use_antichain:
-                return ac.check(program, api, dep, cfg.orders).covered
-            covered, _ = _BaselineChecker(program, dep, cfg.orders).check(api)
+            covered, _, _ = _checker(program, dep, cfg)(api)
             return covered
     except proofdb.SolverError:
         return False

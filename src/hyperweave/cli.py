@@ -54,7 +54,7 @@ def _build_config(args) -> cegar.VerifyConfig:
     )
 
 
-def _verdict_json(verdict, dfa) -> dict:
+def _verdict_json(verdict) -> dict:
     out = {"verdict": verdict.verdict, "stats": verdict.stats,
            "rounds": [r.as_dict() for r in verdict.rounds]}
     if verdict.verdict == "safe":
@@ -69,7 +69,7 @@ def _verdict_json(verdict, dfa) -> dict:
     return out
 
 
-def _print_text(verdict, dfa, api=None):
+def _print_text(verdict, api=None):
     print(f"verdict: {verdict.verdict.upper()}")
     if verdict.verdict == "safe":
         print(f"proof size: {len(verdict.proof)}")
@@ -142,7 +142,6 @@ def _commutes(a, b, solver) -> bool:
         enc = ssa_encode(list(order))
         ren = {}
         for v in enc.variables:
-            base = v.partition("@")[0]
             ren[v] = v.replace("@", tag + "_") if "@" in v else v
         conj = [exprs.rename(f, ren) for pos in enc.conjuncts for f in pos]
         finals = {}
@@ -192,7 +191,7 @@ def cmd_verify(args) -> int:
     if args.stats:
         _write_stats(args.stats, verdict)
     if args.format == "json":
-        print(json.dumps(_verdict_json(verdict, dfa), indent=2))
+        print(json.dumps(_verdict_json(verdict), indent=2))
     else:
         api = None
         if verdict.verdict == "safe" and not args.no_proof_dfa:
@@ -200,7 +199,7 @@ def cmd_verify(args) -> int:
                 api = _final_proof_dfa(verdict, dfa, args.solver)
             except proofdb.SolverError:
                 api = None
-        _print_text(verdict, dfa, api)
+        _print_text(verdict, api)
     return {"safe": EXIT_SAFE, "unsafe": EXIT_UNSAFE}.get(verdict.verdict,
                                                           EXIT_UNKNOWN)
 

@@ -733,11 +733,6 @@ def lower_to_dfa(ast: Ast, atomic: bool = False) -> Dfa:
     return Dfa(tuple(stmts), delta, dfa.initial, dfa.finals)
 
 
-def atomic_blocks(dfa: Dfa, ast: Ast) -> Dfa:
-    """Re-lower with per-thread basic-block fusion enabled."""
-    return lower_to_dfa(ast, atomic=True)
-
-
 def load_program(text: str, atomic: bool = False) -> tuple[Dfa, DependenceRel, Ast]:
     ast = parse_program(text)
     dfa = lower_to_dfa(ast, atomic=atomic)

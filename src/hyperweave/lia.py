@@ -273,7 +273,7 @@ def _conflicting_bounds_cert(s: Simplex) -> Optional[dict]:
     return None
 
 
-def solve_facets(facets, want_model: bool = True, budget: Optional[Budget] = None):
+def solve_facets(facets, budget: Optional[Budget] = None):
     """Integer satisfiability of a conjunction of facets.
 
     Returns ('sat', model), ('unsat', cert-or-None), or ('unknown', None).
@@ -451,7 +451,7 @@ def merge_le_pairs(lits) -> list:
     return out
 
 
-def solve_literals(lits, want_model: bool = True):
+def solve_literals(lits):
     """Conjunction of le/eq atoms: eliminate equalities, then simplex + b&b."""
     reduced, subs = eliminate_equalities(merge_le_pairs(lits))
     if reduced == "unsat":
@@ -459,7 +459,7 @@ def solve_literals(lits, want_model: bool = True):
     if reduced is None:
         reduced, subs = list(lits), []
     facets, _ = expand_literals(reduced)
-    res, payload = solve_facets(facets, want_model)
+    res, payload = solve_facets(facets)
     if res != "sat":
         return res, None
     model = dict(payload)
@@ -519,7 +519,7 @@ def _split_ne(lits):
     yield from go(0, [])
 
 
-def solve_formula(f, want_model: bool = True):
+def solve_formula(f):
     """Integer satisfiability of a canonical NNF formula.
 
     Returns ('sat', model), ('unsat', None) or ('unknown', None).
@@ -534,7 +534,7 @@ def solve_formula(f, want_model: bool = True):
                 count += 1
                 if count > MAX_BRANCHES:
                     return "unknown", None
-                res, payload = solve_literals(lits, want_model)
+                res, payload = solve_literals(lits)
                 if res == "sat":
                     model = {v: payload.get(v, 0) for v in exprs.vars_of(f)}
                     model.update(payload)

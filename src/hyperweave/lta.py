@@ -13,7 +13,6 @@ implements the same check compactly for the program/proof intersection.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -30,18 +29,6 @@ class Lta:
     @property
     def n(self) -> int:
         return len(self.transitions)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "alphabet": [str(a) for a in self.alphabet],
-            "initial": self.initial,
-            "states": [
-                {"id": q,
-                 "label": None if self.labels is None else str(self.labels[q]),
-                 "transitions": [{"b": b, "succ": list(succ)}
-                                 for (b, succ) in trans]}
-                for q, trans in enumerate(self.transitions)],
-        }, indent=2)
 
 
 class _Builder:
@@ -124,9 +111,6 @@ class InactiveSet:
     inactive: set                 # inactive state ids
     witness: dict                 # (state, trans_idx) -> letter index
     order: dict                   # state -> inactivation sequence number
-
-    def __contains__(self, q) -> bool:
-        return q in self.inactive
 
 
 def inactive_baseline(m: Lta) -> InactiveSet:
@@ -227,39 +211,3 @@ def build_counterexample_tree(m: Lta, inact: InactiveSet) -> CexTree:
     if m.initial not in inact.inactive:
         raise ValueError("automaton is not empty; no counterexample tree")
     return CexTree(m, inact)
-
-
-def tree_to_json(tree, limit: int = 5000) -> str:
-    """Debug dump of a counterexample forest (nodes, edges, leaves)."""
-    nodes = []
-    seen = set()
-    stack = [tree.root]
-    while stack and len(seen) < limit:
-        node = stack.pop()
-        if repr(node) in seen:
-            continue
-        seen.add(repr(node))
-        leaf = tree.is_leaf(node)
-        kids = [] if leaf else [(a, repr(c)) for a, c in tree.children(node)]
-        nodes.append({"node": repr(node), "leaf": leaf,
-                      "edges": [{"letter": a, "child": c} for a, c in kids]})
-        if not leaf:
-            for _, child in tree.children(node):
-                stack.append(child)
-    return json.dumps({"root": repr(tree.root), "nodes": nodes}, indent=2)
-
-
-def tree_strings(tree: CexTree, limit: int = 100000) -> list:
-    """All root-to-leaf letter strings (letters as alphabet indices)."""
-    out = []
-    stack = [(tree.root, ())]
-    while stack:
-        q, path = stack.pop()
-        if tree.is_leaf(q):
-            out.append(path)
-            if len(out) > limit:
-                raise OverflowError("counterexample tree too large")
-            continue
-        for a, child in reversed(tree.children(q)):
-            stack.append((child, path + (a,)))
-    return out

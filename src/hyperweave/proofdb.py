@@ -266,9 +266,6 @@ class EntailmentCache:
     def __len__(self):
         return len(self._data)
 
-    def items(self):
-        return list(self._data.items())
-
 
 def syntactic_verdict(pre, stmt: Stmt, post, wpf):
     """Validity of {pre} stmt {post} on syntactic grounds (wpf is the weakest
@@ -467,9 +464,6 @@ def replay(trace, init: dict) -> dict | None:
 
 # ------------------------------------------------------------ interpolation
 
-SELF_CHECK = True
-
-
 class InterpolationError(Exception):
     pass
 
@@ -487,7 +481,7 @@ def interpolate(trace, solver: SolverClient, engine: str = "wp",
         if chain is not None and _chain_ok(chain, trace, solver, cache):
             return chain
     chain = _interpolate_wp(trace, solver)
-    if SELF_CHECK and not _chain_ok(chain, trace, solver, cache):
+    if not _chain_ok(chain, trace, solver, cache):
         raise InterpolationError("wp chain failed validation")
     return chain
 

@@ -220,7 +220,7 @@ def test_criterion_8_proof_nfa_integrity():
         builder = proofdb.ProofNfaBuilder(dfa.alphabet, solver, cache)
         builder.extend(proofdb.Proof(v.proof))
     stmts = {s.id: s for s in dfa.alphabet}
-    triples = cache.items()
+    triples = list(cache._data.items())
     rng = random.Random(8)
     sample = rng.sample(triples, min(100, len(triples)))
     agree = 0

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from hyperweave.automata import (AlphabetError, Dfa, Nfa, check_wellformed,
-                                 concat, determinize, equivalent,
+                                 determinize, equivalent,
                                  first_difference_trace, from_words, minimize,
                                  reindex, shuffle)
 
@@ -86,22 +86,6 @@ def test_shuffle_counts_match_interleaving_formula():
     expect = sum(math.comb(len(u) + len(v), len(u))
                  for u in [("a",), ("a", "a", "a")] for v in [("b", "b")])
     assert len(words) == expect
-
-
-def test_concat():
-    A = from_words([("a",)], ("a",))
-    B = from_words([("b",)], ("b",))
-    assert concat(A, B).words_upto(3) == {("a", "b")}
-    empty = from_words([], ("a",))
-    assert concat(empty, A).words_upto(4) == set()
-
-
-def test_concat_enumeration():
-    A = from_words([(), ("a",)], ("a",))
-    B = from_words([("b",), ("b", "b")], ("b",))
-    got = concat(A, B).words_upto(4)
-    want = {u + v for u in [(), ("a",)] for v in [("b",), ("b", "b")]}
-    assert got == want
 
 
 def test_first_difference_inclusion_none():

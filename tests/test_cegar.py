@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+from hyperweave import antichain as ac
 from hyperweave import cegar, exprs, lia, proofdb
 from hyperweave.antichain import Strategy
 from hyperweave.automata import determinize
@@ -148,7 +153,7 @@ def test_multi_counterexample_round():
                                    RecursionError("too deep"),
                                    ("unknown", None)])
 def test_in_process_solver_fault_is_unknown(monkeypatch, fault):
-    def solve_formula(f, want_model=True):
+    def solve_formula(f):
         if isinstance(fault, Exception):
             raise fault
         return fault
@@ -158,3 +163,56 @@ def test_in_process_solver_fault_is_unknown(monkeypatch, fault):
     v = verify(dfa, dep, VerifyConfig(timeout=30))
     assert v.verdict == "unknown"
     assert "solver" in v.reason
+
+
+UNSAFE = "var x, y; { x := x + 1; } || { y := y + 1; } assume(x = y);"
+
+
+def _extract_twice(monkeypatch):
+    real = ac.extract_counterexamples
+    monkeypatch.setattr(ac, "extract_counterexamples",
+                        lambda *args: real(*args) * 2)
+
+
+@pytest.mark.parametrize("program, patch, reason", [
+    (UNSAFE, lambda mp: mp.setattr(proofdb, "replay", lambda t, m: None),
+     "model does not replay"),
+    (SIMPLEINC, lambda mp: mp.setattr(ac, "extract_counterexamples",
+                                      lambda *a: []),
+     "no counterexample extracted"),
+    (SIMPLEINC, _extract_twice, "counterexample repeated across rounds"),
+    (SIMPLEINC, lambda mp: mp.setattr(cegar, "first_difference_trace",
+                                      lambda p, pi: None),
+     "naive strategy found no difference trace"),
+], ids=["replay", "no-cex", "repeated-cex", "naive"])
+def test_broken_invariant_is_unknown(monkeypatch, program, patch, reason):
+    patch(monkeypatch)
+    dfa, dep, _ = load_program(program)
+    strategy = Strategy("naive") if "naive" in reason else Strategy("bpe", "rr")
+    v = verify(dfa, dep, VerifyConfig(strategy=strategy, timeout=60))
+    assert v.verdict == "unknown"
+    assert v.reason == reason
+
+
+def test_failed_revalidation_is_unknown(monkeypatch):
+    monkeypatch.setattr(cegar, "_revalidate", lambda *a: False)
+    dfa, dep, _ = load_program(SIMPLEINC)
+    v = verify(dfa, dep, VerifyConfig(timeout=60))
+    assert v.verdict == "unknown"
+    assert v.reason == "revalidation failed"
+
+
+def test_non_replaying_model_is_unknown_under_optimize():
+    # invariant checks must not be assert statements, which -O strips
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cegar.__file__)))
+    code = ("from hyperweave import proofdb\n"
+            "from hyperweave.cegar import VerifyConfig, verify\n"
+            "from hyperweave.frontend import load_program\n"
+            "proofdb.replay = lambda trace, model: None\n"
+            f"dfa, dep, _ = load_program({UNSAFE!r})\n"
+            "print(verify(dfa, dep, VerifyConfig(timeout=60)).verdict)\n")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "unknown"

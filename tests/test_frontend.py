@@ -5,7 +5,7 @@ import pytest
 
 from hyperweave import exprs
 from hyperweave.automata import equivalent, from_words, shuffle
-from hyperweave.frontend import (ParseError, Stmt, atomic_blocks, concurrent,
+from hyperweave.frontend import (ParseError, Stmt, concurrent,
                                  compute_dependence, load_program,
                                  lower_to_dfa, parse_program)
 
@@ -114,7 +114,7 @@ def test_if_else_language():
 
 def test_atomic_blocks_fuse_straight_line():
     ast = parse_program("var x, y; x := 0; y := 1;")
-    dfa = atomic_blocks(lower_to_dfa(ast), ast)
+    dfa = lower_to_dfa(ast, atomic=True)
     assert len(dfa.alphabet) == 1
     assert dfa.alphabet[0].kind == "block"
     assert dfa.alphabet[0].writes == {"x", "y"}
@@ -122,13 +122,13 @@ def test_atomic_blocks_fuse_straight_line():
 
 def test_atomic_blocks_never_fuse_across_threads():
     ast = parse_program("var x, y; { x := 0; } || { y := 1; }")
-    dfa = atomic_blocks(lower_to_dfa(ast), ast)
+    dfa = lower_to_dfa(ast, atomic=True)
     assert len(dfa.alphabet) == 2
 
 
 def test_atomic_blocks_respect_loop_head():
     ast = parse_program("var a, c, x, i; x := 0; i := 0; while (i < c) { x := x + a; i := i + 1; }")
-    dfa = atomic_blocks(lower_to_dfa(ast), ast)
+    dfa = lower_to_dfa(ast, atomic=True)
     kinds = sorted(s.display for s in dfa.alphabet)
     # init block, loop block (guard + body), exit assume
     assert len(dfa.alphabet) == 3
@@ -139,7 +139,7 @@ def test_atomic_blocks_respect_loop_head():
 def test_atomic_block_expansion_bijection():
     ast = parse_program(MULT)
     plain = lower_to_dfa(ast)
-    fused = atomic_blocks(plain, ast)
+    fused = lower_to_dfa(ast, atomic=True)
     # every bounded-length fused word expands to an accepted plain word
     expand = {s: [st for st in s.ops] for s in fused.alphabet}
     plain_words = {tuple(str(op) for s in w for op in s.ops)

@@ -3,10 +3,11 @@ import random
 
 import pytest
 
+from hyperweave.antichain import all_leaf_strings
 from hyperweave.automata import from_words
 from hyperweave.lta import (Lta, apply_inactive_step, build_counterexample_tree,
                             inactive_baseline, is_empty, lta_intersect,
-                            lta_powerset, lta_singleton, tree_strings)
+                            lta_powerset, lta_singleton)
 from tests.conftest import random_dfa
 
 
@@ -128,7 +129,7 @@ def test_counterexample_tree_single_statement():
     m = lta_intersect(sleep_reduction_lta(p, (0b1,), LINEAR), lta_powerset(pi))
     inact = inactive_baseline(m)
     tree = build_counterexample_tree(m, inact)
-    assert [tuple(m.alphabet[a] for a in s) for s in tree_strings(tree)] == [("a",)]
+    assert [tuple(m.alphabet[a] for a in s) for s in all_leaf_strings(tree)] == [("a",)]
 
 
 def test_counterexample_tree_two_independent_threads():
@@ -139,7 +140,7 @@ def test_counterexample_tree_two_independent_threads():
     m = lta_intersect(sleep_reduction_lta(p, dep, LINEAR), lta_powerset(pi))
     inact = inactive_baseline(m)
     strings = {tuple(m.alphabet[a] for a in s)
-               for s in tree_strings(build_counterexample_tree(m, inact))}
+               for s in all_leaf_strings(build_counterexample_tree(m, inact))}
     # one interleaving per linear-order choice at the root
     assert strings == {("a", "b"), ("b", "a")}
 
@@ -159,7 +160,7 @@ def test_tree_leaves_rejected_by_proof():
             continue
         checked += 1
         tree = build_counterexample_tree(m, inact)
-        for s in tree_strings(tree):
+        for s in all_leaf_strings(tree):
             word = [m.alphabet[a] for a in s]
             assert p.accepts(word) and not pi.accepts(word)
     assert checked > 10
@@ -170,8 +171,3 @@ def test_nonempty_tree_rejected():
     m = lta_powerset(d)
     with pytest.raises(ValueError):
         build_counterexample_tree(m, inactive_baseline(m))
-
-
-def test_to_json():
-    m = Lta(("a",), [[(True, (0,))]], 0)
-    assert '"initial": 0' in m.to_json()
