@@ -15,7 +15,11 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .automata import Dfa, reindex
+from .lta import BrokenInvariant
 from .reduction import OrderSource, _dep_masks
+
+MAX_CELLS = 2000000                # fixpoint cells before ResourceLimit
+LEAF_COUNT_CAP = 10 ** 9           # leaf counts saturate here
 
 
 class ResourceLimit(Exception):
@@ -193,8 +197,7 @@ class CheckResult:
 
 
 class CheckEngine:
-    def __init__(self, ap: Dfa, api: Dfa, dep, orders: OrderSource,
-                 max_cells: int = 2000000):
+    def __init__(self, ap: Dfa, api: Dfa, dep, orders: OrderSource):
         self.ap = ap
         self.api = reindex(api, ap.alphabet)
         self.k = len(ap.alphabet)
@@ -203,7 +206,6 @@ class CheckEngine:
         self.orders = orders
         self.partition = orders.kind == "partition"
         self.relations = None if self.partition else orders.relations(self.k)
-        self.max_cells = max_cells
         self.cells: dict = {}
         self.archive: dict = {}
         self.rdeps: dict = {}
@@ -214,7 +216,7 @@ class CheckEngine:
 
     def _materialize(self, cell):
         if cell not in self.cells:
-            if len(self.cells) >= self.max_cells:
+            if len(self.cells) >= MAX_CELLS:
                 raise ResourceLimit("antichain fixpoint exceeded cell cap")
             self.cells[cell] = []
             self.archive[cell] = []
@@ -256,8 +258,8 @@ class CheckEngine:
             old = self.cells[cell]
             if _antichain_eq(old, new):
                 continue
-            for m in old:
-                assert ac_covers(new, m), "fixpoint regressed"
+            if not all(ac_covers(new, m) for m in old):
+                raise BrokenInvariant("fixpoint regressed")
             fresh = [m for m in new if not any(m == o for o in old)]
             arch = self.archive[cell]
             for m in fresh:
@@ -284,14 +286,14 @@ class CheckEngine:
 
 
 def check(ap: Dfa, api: Dfa, dep, orders: OrderSource,
-          max_cells: int = 2000000, thin: bool = False) -> CheckResult:
+          thin: bool = False) -> CheckResult:
     """Does some reduction of L(ap) lie inside L(api)?
 
     Covered (covered=True) iff the intersection LTA's initial state is
     active, i.e. the fixpoint antichain at the initial cell is empty.
     thin selects the thinned counterexample forest (bounded strategies).
     """
-    engine = CheckEngine(ap, api, dep, orders, max_cells)
+    engine = CheckEngine(ap, api, dep, orders)
     covered = engine.run()
     forest = None if covered else CexForest(engine, thin=thin)
     return CheckResult(covered, forest, engine.stats)
@@ -334,10 +336,12 @@ class CexForest:
         if hit is not None:
             return hit
         qp, qpi, s = node
-        assert not self.is_leaf(node)
+        if self.is_leaf(node):
+            raise BrokenInvariant("children requested for a leaf")
         cell = (qp, qpi)
         r0 = self._rank(cell, s)
-        assert r0 is not None, "children requested for an active state"
+        if r0 is None:
+            raise BrokenInvariant("children requested for an active state")
         rowp, rowpi = self.e.ap.delta[qp], self.e.api.delta[qpi]
 
         def child_of(a: int, sleep: int):
@@ -361,30 +365,29 @@ class CexForest:
             rest = [a for a in range(k) if a not in valid_a]
             # partitions whose second component misses every valid_a letter
             for sub in _subsets(rest):
-                found = False
                 for b in range(k):
                     if sub >> b & 1 or s >> b & 1:
                         continue
                     sleep = (s | sub) & ~dmasks[b]
                     if valid(b, sleep):
                         out.add((b, child_of(b, sleep)))
-                        found = True
                         break
-                assert found, "no witness letter for a partition order"
+                else:
+                    raise BrokenInvariant(
+                        "no witness letter for a partition order")
                 if self.thin and out:
                     break
         else:
             for r in self.e.relations:
-                found = False
                 for a in range(k):
                     if s >> a & 1:
                         continue
                     sleep = (s | r[a]) & ~dmasks[a]
                     if valid(a, sleep):
                         out.add((a, child_of(a, sleep)))
-                        found = True
                         break
-                assert found, "no witness letter for a linear order"
+                else:
+                    raise BrokenInvariant("no witness letter for a linear order")
         result = sorted(out)
         self._children[node] = result
         return result
@@ -429,7 +432,7 @@ class Strategy:
         return f"bpe-{self.mode}" + ("" if self.mode == "rr" else str(self.n))
 
 
-def leaf_count(forest, cap: int = 10 ** 9) -> dict:
+def leaf_count(forest) -> dict:
     """Number of leaves below every reachable node (counts capped)."""
     counts: dict = {}
     stack = [(forest.root, False)]
@@ -437,7 +440,7 @@ def leaf_count(forest, cap: int = 10 ** 9) -> dict:
         node, post = stack.pop()
         if post:
             total = sum(counts[c] for _, c in forest.children(node))
-            counts[node] = min(total, cap)
+            counts[node] = min(total, LEAF_COUNT_CAP)
             continue
         if node in counts:
             continue

@@ -2,10 +2,10 @@
 
 Each round: build the proof NFA from the current assertion set (incremental,
 cache-backed), determinize it, and ask the checker whether some sleep-set
-reduction of the program is covered.  Covered means safe (after an
-independent revalidation pass); otherwise the chosen strategy extracts
-counterexample traces from the inactivity proof, feasible traces are real
-violations, and infeasible ones are interpolated to grow the proof.
+reduction of the program is covered.  Covered means safe once a fresh solver
+re-proves the proof automaton's edges and a fresh fixpoint agrees; otherwise
+the chosen strategy extracts counterexample traces from the inactivity proof,
+feasible traces are real violations, and infeasible ones are interpolated.
 """
 
 from __future__ import annotations
@@ -122,15 +122,13 @@ def verify(program: Dfa, dep, config: VerifyConfig | None = None):
     strategy = cfg.strategy
     fell_back = False
 
-    try:
-        solver = proofdb.SolverClient(cfg.solver_command)
-    except proofdb.SolverError as e:
-        return Unknown(f"solver unavailable: {e}", rounds, stats)
     cache = proofdb.EntailmentCache()
-    builder = proofdb.ProofNfaBuilder(program.alphabet, solver, cache)
     proof = proofdb.Proof()
+    solver = None
 
     try:
+        solver = proofdb.SolverClient(cfg.solver_command)
+        builder = proofdb.ProofNfaBuilder(program.alphabet, solver, cache)
         check = _checker(program, dep, cfg)
         for number in range(1, MAX_ROUNDS + 1):
             if time.monotonic() > deadline:
@@ -150,9 +148,7 @@ def verify(program: Dfa, dep, config: VerifyConfig | None = None):
             if covered:
                 rounds.append(RoundRecord(number, [], [], len(proof),
                                           t_build, t_check))
-                stats.update(proof_size=len(proof), rounds=number,
-                             cache_entries=len(cache))
-                if not _revalidate(program, dep, cfg, proof):
+                if not _revalidate(program, dep, cfg, proof, builder.edges):
                     return Unknown("revalidation failed", rounds, stats)
                 return Safe(list(proof), rounds, stats)
 
@@ -181,7 +177,6 @@ def verify(program: Dfa, dep, config: VerifyConfig | None = None):
                 if model is not None:
                     if proofdb.replay(trace, model) is None:
                         return Unknown("model does not replay", rounds, stats)
-                    stats.update(proof_size=len(proof), rounds=number)
                     rounds.append(RoundRecord(
                         number, list(words[: words.index(w) + 1]),
                         [fmt(f) for f in new_assertions], len(proof),
@@ -210,26 +205,35 @@ def verify(program: Dfa, dep, config: VerifyConfig | None = None):
         return Unknown("round limit reached", rounds, stats)
     except proofdb.SolverError as e:
         return Unknown(f"solver failure: {e}", rounds, stats)
-    except (ac.ResourceLimit, ReductionTooLarge, proofdb.InterpolationError) as e:
+    except (ac.ResourceLimit, ltamod.BrokenInvariant, ReductionTooLarge,
+            proofdb.InterpolationError) as e:
         return Unknown(str(e), rounds, stats)
     finally:
-        # every verdict, Unknown included, carries the loop's solver and
-        # cache counters (the verdict shares this dict)
-        stats.update(solver_queries=solver.num_queries,
+        # the verdict shares this dict: every exit reports the same keys
+        stats.update(proof_size=len(proof), rounds=len(rounds),
+                     cache_entries=len(cache),
+                     solver_queries=0 if solver is None else solver.num_queries,
                      cache_hits=cache.hits, cache_misses=cache.misses)
-        solver.close()
+        if solver is not None:
+            solver.close()
 
 
-def _revalidate(program: Dfa, dep, cfg: VerifyConfig, proof) -> bool:
-    """Independent re-check: fresh solver instance, fresh fixpoint engine."""
+def _revalidate(program: Dfa, dep, cfg: VerifyConfig, proof, edges) -> bool:
+    """Independent re-check of the proof by its edges: a fresh solver, with
+    no shared cache, re-proves each edge, and a fresh fixpoint must find the
+    NFA of the confirmed edges covering (a missing edge only shrinks it)."""
+    edges = sorted(edges)
+    fs, stmts = proof.assertions, {s.id: s for s in program.alphabet}
+    triples = [(fs[i], stmts[sid], fs[j]) for i, sid, j in edges]
     try:
         with proofdb.SolverClient(cfg.solver_command) as solver:
-            nfa = proofdb.build_proof_nfa(proof, program.alphabet, solver)
-            api = determinize(nfa, program.alphabet)
-            covered, _, _ = _checker(program, dep, cfg)(api)
-            return covered
+            verdicts = proofdb.hoare_verdicts(triples, solver)
     except proofdb.SolverError:
         return False
+    nfa = proofdb.proof_nfa(proof, program.alphabet,
+                            [e for e, valid in zip(edges, verdicts) if valid])
+    api = determinize(nfa, program.alphabet)
+    return _checker(program, dep, cfg)(api)[0]
 
 
 def progress_audit(rounds) -> bool:

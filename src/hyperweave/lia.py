@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Optional
 
 ZERO = Fraction(0)
+BRANCH_BUDGET = 600                # branch-and-bound nodes per solve_facets
 
 
 class Budget:
@@ -273,15 +274,13 @@ def _conflicting_bounds_cert(s: Simplex) -> Optional[dict]:
     return None
 
 
-def solve_facets(facets, budget: Optional[Budget] = None):
+def solve_facets(facets):
     """Integer satisfiability of a conjunction of facets.
 
     Returns ('sat', model), ('unsat', cert-or-None), or ('unknown', None).
     cert is a facet->multiplier Farkas certificate valid over the rationals
     (None when infeasibility was only established through branching).
     """
-    if budget is None:
-        budget = Budget(600)
     names = sorted({v for coeffs, _ in facets for v, _ in coeffs})
     var_ids = {v: i for i, v in enumerate(names)}
     s = _build_simplex(facets, var_ids)
@@ -291,7 +290,7 @@ def solve_facets(facets, budget: Optional[Budget] = None):
     res, cert = s.check()
     if res == "unsat":
         return "unsat", (cert if not _tainted(cert) else None)
-    return _branch(s, names, facets, budget)
+    return _branch(s, names, facets, Budget(BRANCH_BUDGET))
 
 
 def _tainted(cert: dict) -> bool:

@@ -19,6 +19,10 @@ from dataclasses import dataclass, field
 from .automata import Dfa
 
 
+class BrokenInvariant(Exception):
+    """An internal invariant of a fixpoint or its witnesses failed."""
+
+
 @dataclass
 class Lta:
     alphabet: tuple
@@ -198,7 +202,8 @@ class CexTree:
             child = succ[a]
             # witnesses follow the inductive derivation: the child was proved
             # inactive strictly earlier, so the tree is finite
-            assert self.inact.order[child] < self.inact.order[q]
+            if self.inact.order[child] >= self.inact.order[q]:
+                raise BrokenInvariant("witness not proved inactive earlier")
             if (a, child) not in seen:
                 seen.add((a, child))
                 out.append((a, child))

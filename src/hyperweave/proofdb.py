@@ -18,6 +18,7 @@ import subprocess
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from . import exprs, lia
 from .automata import Nfa
@@ -31,6 +32,7 @@ class SolverError(Exception):
 
 # What lia and exprs raise on formulas they cannot handle.
 _LIA_ERRORS = (ValueError, exprs.NonlinearError, OverflowError, RecursionError)
+SOLVER_TIMEOUT = 60.0              # seconds a solver child may take per answer
 
 
 class SolverClient:
@@ -42,13 +44,12 @@ class SolverClient:
     Either way an ``unknown`` answer or a solver fault raises SolverError.
     """
 
-    def __init__(self, command=None, timeout: float = 60.0):
+    def __init__(self, command=None):
         if command is None:
             command = os.environ.get("HYPERWEAVE_SOLVER") or None
         if isinstance(command, str):
             command = shlex.split(command)
         self.command = command
-        self.timeout = timeout
         self.num_queries = 0
         self.proc = None
         if command is None:
@@ -91,7 +92,7 @@ class SolverClient:
             raise SolverError(f"solver process died: {e}") from e
 
     def _read_line(self) -> str:
-        deadline = time.monotonic() + self.timeout
+        deadline = time.monotonic() + SOLVER_TIMEOUT
         fd = self.proc.stdout.fileno()
         while b"\n" not in self._buf:
             remain = deadline - time.monotonic()
@@ -141,14 +142,6 @@ class SolverClient:
                 self._send("(pop 1)")
             except SolverError:
                 pass
-
-    def is_valid(self, f) -> bool:
-        if f == TRUE:
-            return True
-        if f == FALSE:
-            return False
-        res, _ = self.check_sat([exprs.negate(f)])
-        return res == "unsat"
 
     BATCH = 400
 
@@ -281,22 +274,42 @@ def syntactic_verdict(pre, stmt: Stmt, post, wpf):
     return None
 
 
+def hoare_verdicts(triples, solver: SolverClient,
+                   cache: EntailmentCache | None = None) -> list[bool]:
+    """Validity of each Hoare triple (pre, stmt, post): the one place that
+    decides triples, by the cache, then syntactic_verdict, then one solver
+    batch for the triples still open.  New verdicts go into the cache."""
+    cache = cache if cache is not None else EntailmentCache()
+    out: list = []
+    wps: dict = {}                 # (stmt id, post) -> [wp, negated wp]
+    pending: list = []             # (index into out, cache key)
+    queries: list = []
+    for pre, stmt, post in triples:
+        key = (pre, stmt.id, post)
+        verdict = cache.get(key)
+        if verdict is None:
+            wp = wps.get(key[1:])
+            if wp is None:
+                wp = wps[key[1:]] = [wp_stmt(stmt, post), None]
+            verdict = syntactic_verdict(pre, stmt, post, wp[0])
+            if verdict is None:
+                if wp[1] is None:
+                    wp[1] = exprs.negate(wp[0])
+                pending.append((len(out), key))
+                queries.append([pre, wp[1]])
+            else:
+                cache.put(key, verdict)
+        out.append(verdict)
+    for (k, key), res in zip(pending, solver.check_sat_batch(queries)):
+        out[k] = res == "unsat"
+        cache.put(key, out[k])
+    return out
+
+
 def hoare_valid(pre, stmt: Stmt, post, solver: SolverClient,
                 cache: EntailmentCache | None = None) -> bool:
     """Validity of {pre} stmt {post}."""
-    key = (pre, stmt.id, post)
-    if cache is not None:
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-    wpf = wp_stmt(stmt, post)
-    result = syntactic_verdict(pre, stmt, post, wpf)
-    if result is None:
-        res, _ = solver.check_sat([pre, exprs.negate(wpf)])
-        result = res == "unsat"
-    if cache is not None:
-        cache.put(key, result)
-    return result
+    return hoare_verdicts([(pre, stmt, post)], solver, cache)[0]
 
 
 # ------------------------------------------------------------------- proof
@@ -316,9 +329,6 @@ class Proof:
         self._index[f] = len(self.assertions)
         self.assertions.append(f)
         return True
-
-    def __contains__(self, f):
-        return f in self._index
 
     def __len__(self):
         return len(self.assertions)
@@ -342,48 +352,30 @@ class ProofNfaBuilder:
         self.alphabet = tuple(alphabet)
         self.solver = solver
         self.cache = cache
-        self.known: list = []
+        self.n = 0                 # assertions the edges cover
         self.edges: set = set()  # (pre_idx, stmt_id, post_idx)
 
     def extend(self, proof: Proof) -> Nfa:
-        old_n = len(self.known)
-        self.known = list(proof.assertions)
-        n = len(self.known)
-        pending_keys: list = []
-        pending_queries: list = []
-        for stmt in self.alphabet:
-            for j in range(n):
-                post = self.known[j]
-                wpf = wp_stmt(stmt, post)
-                neg_wpf = None
-                for i in range(n):
-                    if j < old_n and i < old_n:
-                        continue
-                    pre = self.known[i]
-                    key = (pre, stmt.id, post)
-                    hit = self.cache.get(key)
-                    if hit is None:
-                        hit = syntactic_verdict(pre, stmt, post, wpf)
-                    if hit is None:
-                        if neg_wpf is None:
-                            neg_wpf = exprs.negate(wpf)
-                        pending_keys.append((key, i, stmt.id, j))
-                        pending_queries.append([pre, neg_wpf])
-                        continue
-                    self.cache.put(key, hit)
-                    if hit:
-                        self.edges.add((i, stmt.id, j))
-        answers = self.solver.check_sat_batch(pending_queries)
-        for (key, i, sid, j), res in zip(pending_keys, answers):
-            valid = res == "unsat"
-            self.cache.put(key, valid)
-            if valid:
-                self.edges.add((i, sid, j))
-        trans: dict = {}
-        stmt_by_id = {s.id: s for s in self.alphabet}
-        for (i, sid, j) in self.edges:
-            trans.setdefault((i, stmt_by_id[sid]), set()).add(j)
-        return Nfa(n, self.alphabet, trans, proof.index(TRUE), {proof.index(FALSE)})
+        old_n, n, fs = self.n, len(proof), proof.assertions
+        self.n = n
+        new = [(i, stmt, j) for stmt in self.alphabet for j in range(n)
+               for i in range(n) if i >= old_n or j >= old_n]
+        verdicts = hoare_verdicts([(fs[i], stmt, fs[j]) for i, stmt, j in new],
+                                  self.solver, self.cache)
+        self.edges.update((i, stmt.id, j)
+                          for (i, stmt, j), valid in zip(new, verdicts) if valid)
+        return proof_nfa(proof, self.alphabet, self.edges)
+
+
+def proof_nfa(proof: Proof, alphabet, edges) -> Nfa:
+    """The proof NFA: one state per assertion of proof, one transition per
+    (pre index, statement id, post index) edge."""
+    stmt_by_id = {s.id: s for s in alphabet}
+    trans: dict = {}
+    for (i, sid, j) in edges:
+        trans.setdefault((i, stmt_by_id[sid]), set()).add(j)
+    return Nfa(len(proof), tuple(alphabet), trans, proof.index(TRUE),
+               {proof.index(FALSE)})
 
 
 def build_proof_nfa(proof: Proof, alphabet, solver: SolverClient,
@@ -508,10 +500,9 @@ def _interpolate_wp(trace, solver: SolverClient) -> list:
 def _simplify(f, solver: SolverClient):
     if f in (TRUE, FALSE) or f[0] in ("le", "eq", "ne"):
         return f
-    if solver.is_valid(f):
+    if solver.check_sat([exprs.negate(f)])[0] == "unsat":
         return TRUE
-    res, _ = solver.check_sat([f])
-    if res == "unsat":
+    if solver.check_sat([f])[0] == "unsat":
         return FALSE
     return f
 
@@ -597,15 +588,10 @@ def _partial_sums(case, cert, enc: SsaTrace, n: int):
                 return None  # dead SSA version survived; certificate unusable
         denom = 1
         for a in list(coeffs.values()) + [const]:
-            denom = denom * a.denominator // _gcd(denom, a.denominator)
+            denom = denom * a.denominator // gcd(denom, a.denominator)
         atom = exprs._atom("le",
                            {v.partition("@")[0]: int(a * denom) for v, a in coeffs.items()},
                            int(const * denom))
         sums.append(atom)
     return sums
 
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a

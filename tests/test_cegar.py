@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -136,6 +137,8 @@ def test_solver_failure_is_unknown():
                                       solver_command="/does/not/exist"))
     assert v.verdict == "unknown"
     assert "solver" in v.reason
+    assert v.stats["rounds"] == 0 and v.stats["proof_size"] == 2
+    assert v.stats["cache_entries"] == 0 and v.stats["solver_queries"] == 0
 
 
 def test_multi_counterexample_round():
@@ -202,17 +205,126 @@ def test_failed_revalidation_is_unknown(monkeypatch):
     assert v.reason == "revalidation failed"
 
 
-def test_non_replaying_model_is_unknown_under_optimize():
+def _verify_under_optimize(patch: str, program: str, config: str) -> str:
+    """Verdict and reason of verify in a python -O child, after patch."""
     # invariant checks must not be assert statements, which -O strips
     src = os.path.dirname(os.path.dirname(os.path.abspath(cegar.__file__)))
-    code = ("from hyperweave import proofdb\n"
+    code = ("from hyperweave import antichain, lta, proofdb\n"
             "from hyperweave.cegar import VerifyConfig, verify\n"
             "from hyperweave.frontend import load_program\n"
-            "proofdb.replay = lambda trace, model: None\n"
-            f"dfa, dep, _ = load_program({UNSAFE!r})\n"
-            "print(verify(dfa, dep, VerifyConfig(timeout=60)).verdict)\n")
+            f"{patch}\n"
+            f"dfa, dep, _ = load_program({program!r})\n"
+            f"v = verify(dfa, dep, VerifyConfig({config}))\n"
+            "print(v.verdict, getattr(v, 'reason', ''))\n")
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "unknown"
+    return out.stdout.strip()
+
+
+def test_non_replaying_model_is_unknown_under_optimize():
+    out = _verify_under_optimize("proofdb.replay = lambda trace, model: None",
+                                 UNSAFE, "timeout=60")
+    assert out.split()[0] == "unknown"
+
+
+FLAT_ORDER = """
+real = lta.inactive_baseline
+def inactive_baseline(m):
+    inact = real(m)
+    inact.order = dict.fromkeys(inact.order, 0)
+    return inact
+lta.inactive_baseline = inactive_baseline
+"""
+
+
+@pytest.mark.parametrize("patch, config, reason", [
+    ("antichain.CheckEngine.rank = lambda self, cell, s: None", "timeout=60",
+     "children requested for an active state"),
+    (FLAT_ORDER, "use_antichain=False, timeout=60",
+     "witness not proved inactive earlier"),
+], ids=["antichain-forest", "baseline-tree"])
+def test_broken_witness_is_unknown_under_optimize(patch, config, reason):
+    assert _verify_under_optimize(patch, SIMPLEINC, config) == \
+        f"unknown {reason}"
+
+
+def _fake_clock(monkeypatch):
+    """Run verify on a clock that the first emptiness check exhausts."""
+    clock = types.SimpleNamespace(now=0.0)
+    monkeypatch.setattr(cegar, "time",
+                        types.SimpleNamespace(monotonic=lambda: clock.now))
+    real = ac.check
+
+    def check(*args, **kwargs):
+        clock.now += 1e6
+        return real(*args, **kwargs)
+    monkeypatch.setattr(ac, "check", check)
+
+
+def _no_new_assertion(monkeypatch):
+    monkeypatch.setattr(proofdb, "interpolate",
+                        lambda trace, solver, engine, cache:
+                        [exprs.TRUE] * len(trace) + [exprs.FALSE])
+
+
+@pytest.mark.parametrize("patch, reason", [
+    (_fake_clock, "timeout"),
+    (_no_new_assertion, "stagnation: no new assertion"),
+    (lambda mp: mp.setattr(ac, "extract_counterexamples", lambda *a: []),
+     "no counterexample extracted"),
+], ids=["timeout", "stagnation", "invariant"])
+def test_unknown_carries_the_stats_of_safe(monkeypatch, patch, reason):
+    dfa, dep, _ = load_program(SIMPLEINC)
+    cfg = VerifyConfig(strategy=Strategy("pe"), timeout=60)
+    safe = verify(dfa, dep, cfg)
+    assert safe.verdict == "safe"
+    patch(monkeypatch)
+    v = verify(dfa, dep, cfg)
+    assert (v.verdict, v.reason) == ("unknown", reason)
+    assert set(v.stats) == set(safe.stats)
+    assert v.stats["rounds"] == len(v.rounds)
+
+
+def test_lying_loop_solver_fails_revalidation(monkeypatch):
+    # the first SolverClient made (the loop's) answers unsat to every query
+    made = []
+    real_init = proofdb.SolverClient.__init__
+
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        if not made:
+            self.check_sat = lambda formulas, get_model=False: ("unsat", None)
+            self.check_sat_batch = lambda queries: ["unsat"] * len(queries)
+        made.append(self)
+    monkeypatch.setattr(proofdb.SolverClient, "__init__", init)
+    dfa, dep, _ = load_program(SIMPLEINC)
+    v = verify(dfa, dep, VerifyConfig(timeout=60))
+    assert len(made) == 2
+    assert v.verdict == "unknown"
+    assert v.reason == "revalidation failed"
+
+
+def test_revalidation_redecides_only_the_loop_edges(monkeypatch):
+    builders, calls = [], []
+    real_extend = proofdb.ProofNfaBuilder.extend
+    real_verdicts = proofdb.hoare_verdicts
+
+    def extend(self, proof):
+        builders.append(self)
+        return real_extend(self, proof)
+
+    def hoare_verdicts(triples, solver, cache=None):
+        calls.append((len(triples), solver, cache))
+        return real_verdicts(triples, solver, cache)
+    monkeypatch.setattr(proofdb.ProofNfaBuilder, "extend", extend)
+    monkeypatch.setattr(proofdb, "hoare_verdicts", hoare_verdicts)
+    dfa, dep, _ = load_program(SIMPLEINC)
+    v = verify(dfa, dep, VerifyConfig(timeout=60))
+    assert v.verdict == "safe"
+    decided, solver, cache = calls[-1]
+    loop = builders[-1]
+    assert decided == len(loop.edges)
+    assert cache is None and solver is not loop.solver
+    assert decided < len(v.proof) ** 2 * len(dfa.alphabet)

@@ -40,6 +40,7 @@ def test_hoare_cache_agrees_with_fresh_queries(solver):
     atoms = [TRUE, FALSE,
              cmp(">", var("x"), num(0)), cmp("=", var("y"), num(0)),
              cmp("<=", ("add", var("x"), var("y")), num(5))]
+    triples, verdicts = [], []
     for _ in range(60):
         pre, post = rng.choice(atoms), rng.choice(atoms)
         stmt = rng.choice(trace)
@@ -47,6 +48,12 @@ def test_hoare_cache_agrees_with_fresh_queries(solver):
         v2 = proofdb.hoare_valid(pre, stmt, post, solver, cache)
         assert v1 == v2
         assert proofdb.hoare_valid(pre, stmt, post, solver, None) == v1
+        triples.append((pre, stmt, post))
+        verdicts.append(v1)
+    # one call decides them all, with at most one solver query per triple
+    before = solver.num_queries
+    assert proofdb.hoare_verdicts(triples, solver) == verdicts
+    assert solver.num_queries - before <= len(triples)
 
 
 def test_proof_nfa_trivial_pi(solver):
