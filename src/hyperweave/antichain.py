@@ -422,8 +422,10 @@ class Strategy:
             return Strategy("bpe", "rr")
         for mode in ("l", "m"):
             if text.startswith(f"bpe-{mode}"):
-                arg = text[len(f"bpe-{mode}"):] or "1"
-                return Strategy("bpe", mode, int(arg))
+                n = int(text[len(f"bpe-{mode}"):] or "1")
+                if n < 1:
+                    raise ValueError(f"strategy {text!r} needs N >= 1")
+                return Strategy("bpe", mode, n)
         raise ValueError(f"unknown strategy {text!r}")
 
     def __str__(self):

@@ -70,6 +70,7 @@ class Unknown:
 
 MAX_ROUNDS = 400
 CEX_CAP = 200000                   # pending-stack cap of the 'pe' strategy
+MAX_PROOF = 512                    # assertions a proof may reach
 
 
 @dataclass
@@ -79,7 +80,6 @@ class VerifyConfig:
     use_antichain: bool = True
     solver_command: object = None
     timeout: float = 300.0
-    max_proof: int = 512
     interpolation: str = "farkas"
 
 
@@ -200,8 +200,8 @@ def verify(program: Dfa, dep, config: VerifyConfig | None = None):
                     stats["fallback"] = str(strategy)
                     continue
                 return Unknown("stagnation: no new assertion", rounds, stats)
-            if len(proof) > cfg.max_proof:
-                return Unknown(f"proof size exceeded {cfg.max_proof}", rounds, stats)
+            if len(proof) > MAX_PROOF:
+                return Unknown(f"proof size exceeded {MAX_PROOF}", rounds, stats)
         return Unknown("round limit reached", rounds, stats)
     except proofdb.SolverError as e:
         return Unknown(f"solver failure: {e}", rounds, stats)

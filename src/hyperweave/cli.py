@@ -163,6 +163,7 @@ def _commutes(a, b, solver) -> bool:
 
 
 def cmd_verify(args) -> int:
+    cfg = _build_config(args)
     try:
         text = open(args.file).read()
     except OSError as e:
@@ -186,7 +187,6 @@ def cmd_verify(args) -> int:
         if bad:
             print(f"dependence unsound for pairs: {bad}", file=sys.stderr)
             return EXIT_UNKNOWN
-    cfg = _build_config(args)
     verdict = cegar.verify(dfa, dep, cfg)
     if args.stats:
         _write_stats(args.stats, verdict)
@@ -327,7 +327,7 @@ def make_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="verify one program")
     pv.add_argument("file")
     pv.add_argument("--strategy", default="bpe-rr",
-                    help="naive | pe | bpe-rr | bpe-lN | bpe-mN")
+                    help="naive | pe | bpe-rr | bpe-lN | bpe-mN (N >= 1)")
     pv.add_argument("--orders", choices=["linear", "partition"],
                     default="partition")
     pv.add_argument("--antichain", choices=["on", "off"], default="on")

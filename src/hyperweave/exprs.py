@@ -244,15 +244,6 @@ def vars_of(f) -> frozenset:
     return out
 
 
-def atoms_of(f):
-    tag = f[0]
-    if tag in ("le", "eq", "ne"):
-        yield f
-    elif tag in ("and", "or"):
-        for g in f[1]:
-            yield from atoms_of(g)
-
-
 def eval_formula(f, env: dict) -> bool:
     tag = f[0]
     if tag == "true":
@@ -267,23 +258,6 @@ def eval_formula(f, env: dict) -> bool:
     if tag == "and":
         return all(eval_formula(g, env) for g in f[1])
     return any(eval_formula(g, env) for g in f[1])
-
-
-def eval_int(expr, env: dict) -> int:
-    tag = expr[0]
-    if tag == "num":
-        return expr[1]
-    if tag == "var":
-        return env[expr[1]]
-    if tag == "neg":
-        return -eval_int(expr[1], env)
-    if tag == "add":
-        return eval_int(expr[1], env) + eval_int(expr[2], env)
-    if tag == "sub":
-        return eval_int(expr[1], env) - eval_int(expr[2], env)
-    if tag == "mul":
-        return eval_int(expr[1], env) * eval_int(expr[2], env)
-    raise ValueError(f"bad int expression {expr!r}")
 
 
 def _neg_coeffs(coeffs):

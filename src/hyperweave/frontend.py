@@ -10,11 +10,10 @@ for plain statements, several for fused atomic blocks).
 from __future__ import annotations
 
 import itertools
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import exprs
-from .automata import Dfa, Nfa, determinize, eliminate_epsilon, minimize, shuffle
+from .automata import Dfa, determinize, eliminate_epsilon, minimize, shuffle
 
 
 class ParseError(Exception):
@@ -363,7 +362,7 @@ def _rename_seq(node, suf: str, shared: set, renames: dict):
     raise TypeError(node)
 
 
-def _check_vars(node, declared: set, where=""):
+def _check_vars(node, declared: set):
     if isinstance(node, Seq):
         for i in node.items:
             _check_vars(i, declared)
@@ -454,10 +453,6 @@ class DependenceRel:
 
     def dependent(self, a: int, b: int) -> bool:
         return bool(self.masks[a] >> b & 1)
-
-    def of(self, a: int) -> set:
-        m = self.masks[a]
-        return {i for i in range(len(self.masks)) if m >> i & 1}
 
 
 def compute_dependence(dfa: Dfa) -> DependenceRel:

@@ -1,12 +1,20 @@
 """Linear integer arithmetic: satisfiability, models, Farkas certificates.
 
 The entire verifier's logic is QF_LIA, small and dense, so this is a
-self-contained exact implementation: a general simplex over rationals in the
-bounds-and-tableau style, branch & bound on top for integrality, and a naive
-DNF-style case split over the boolean structure.  When a conjunction is
-rationally infeasible the simplex yields a Farkas certificate (nonnegative
-multipliers over input facets summing to a positive constant), which the
-interpolation engine consumes.
+self-contained exact implementation with one solving path:
+
+- ``solve_formula`` splits a canonical NNF formula into conjunctions of atoms
+  (DNF) and each ``ne`` atom into its two strict halves (``ne_halves``);
+- ``solve_literals`` merges complementary ``le`` pairs into equalities and
+  substitutes away equalities with a unit coefficient;
+- ``solve_facets`` solves the rational relaxation (``_relax``: a general
+  simplex over rationals in the bounds-and-tableau style) and then branches
+  and bounds for integrality.
+
+``rational_cert`` runs the same relaxation.  When a conjunction is rationally
+infeasible the simplex yields a Farkas certificate (nonnegative multipliers
+over input facets summing to a positive constant), which the interpolation
+engine consumes.
 
 Facets are pairs (coeffs, k) with coeffs a tuple of (var, int) meaning
 sum(c*v) + k <= 0.
@@ -16,6 +24,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from typing import Optional
+
+from . import exprs
+from .exprs import _neg_coeffs
 
 ZERO = Fraction(0)
 BRANCH_BUDGET = 600                # branch-and-bound nodes per solve_facets
@@ -30,26 +41,23 @@ class Budget:
         return self.left >= 0
 
 
-def expand_literals(lits) -> tuple[list, list]:
-    """Expand canonical le/eq atoms into facets.
-
-    Returns (facets, origin) where origin[i] is the literal index the i-th
-    facet came from.  'ne' atoms must be split by the caller.
-    """
-    facets, origin = [], []
-    for idx, lit in enumerate(lits):
-        tag, coeffs, k = lit
-        if tag == "le":
-            facets.append((coeffs, k))
-            origin.append(idx)
-        elif tag == "eq":
-            facets.append((coeffs, k))
-            origin.append(idx)
-            facets.append((tuple((v, -a) for v, a in coeffs), -k))
-            origin.append(idx)
-        else:
+def expand_literals(lits) -> list:
+    """Facets of canonical le/eq atoms, in order (an eq gives two facets).
+    'ne' atoms must be split by the caller (see ne_halves)."""
+    facets = []
+    for tag, coeffs, k in lits:
+        if tag not in ("le", "eq"):
             raise ValueError(f"cannot expand {tag} atom")
-    return facets, origin
+        facets.append((coeffs, k))
+        if tag == "eq":
+            facets.append((_neg_coeffs(coeffs), -k))
+    return facets
+
+
+def ne_halves(atom) -> tuple:
+    """The le atoms t < 0 and t > 0 whose disjunction is the ne atom t != 0."""
+    _, coeffs, k = atom
+    return ("le", coeffs, k + 1), ("le", _neg_coeffs(coeffs), -k + 1)
 
 
 def verify_cert(facets, cert: dict) -> bool:
@@ -158,73 +166,45 @@ class Simplex:
         self.rows[n] = nrow
 
     def check(self):
-        """Returns ('sat', None) or ('unsat', cert) with cert facet->mult."""
+        """Returns ('sat', None) or ('unsat', cert) with cert facet->mult.
+
+        The first basic variable out of its bounds is pivoted with the first
+        nonbasic variable that can move it back (up = it must rise); when
+        none can, its row is the certificate.
+        """
         self._init_assignment()
         while True:
-            pick = None
             for b in sorted(self.rows):
                 lo, hi = self.lo.get(b), self.hi.get(b)
                 if lo is not None and self.beta[b] < lo[0]:
-                    pick = (b, "lo")
+                    up, target = True, lo[0]
                     break
                 if hi is not None and self.beta[b] > hi[0]:
-                    pick = (b, "hi")
+                    up, target = False, hi[0]
                     break
-            if pick is None:
+            else:
                 return "sat", None
-            b, side = pick
             row = self.rows[b]
-            moved = False
-            if side == "lo":
-                target = self.lo[b][0]
-                for n in sorted(row):
-                    a = row[n]
-                    hi_n, lo_n = self.hi.get(n), self.lo.get(n)
-                    if a > 0 and (hi_n is None or self.beta[n] < hi_n[0]):
-                        self._pivot(b, n, target)
-                        moved = True
+            for n in sorted(row):
+                if (row[n] > 0) == up:     # n must rise: its upper bound blocks
+                    lim = self.hi.get(n)
+                    if lim is None or self.beta[n] < lim[0]:
                         break
-                    if a < 0 and (lo_n is None or self.beta[n] > lo_n[0]):
-                        self._pivot(b, n, target)
-                        moved = True
+                else:                      # n must fall: its lower bound blocks
+                    lim = self.lo.get(n)
+                    if lim is None or self.beta[n] > lim[0]:
                         break
             else:
-                target = self.hi[b][0]
-                for n in sorted(row):
-                    a = row[n]
-                    hi_n, lo_n = self.hi.get(n), self.lo.get(n)
-                    if a > 0 and (lo_n is None or self.beta[n] > lo_n[0]):
-                        self._pivot(b, n, target)
-                        moved = True
-                        break
-                    if a < 0 and (hi_n is None or self.beta[n] < hi_n[0]):
-                        self._pivot(b, n, target)
-                        moved = True
-                        break
-            if not moved:
-                return "unsat", self._certificate(b, side)
+                return "unsat", self._certificate(b, up)
+            self._pivot(b, n, target)
 
-    def _certificate(self, b: int, side: str) -> dict:
-        cert: dict[int, Fraction] = {}
-
-        def add(reason: int, mult: Fraction):
-            cert[reason] = cert.get(reason, ZERO) + mult
-
-        row = self.rows[b]
-        if side == "lo":
-            add(self.lo[b][1], Fraction(1))
-            for n, a in row.items():
-                if a > 0:
-                    add(self.hi[n][1], a)
-                elif a < 0:
-                    add(self.lo[n][1], -a)
-        else:
-            add(self.hi[b][1], Fraction(1))
-            for n, a in row.items():
-                if a > 0:
-                    add(self.lo[n][1], a)
-                elif a < 0:
-                    add(self.hi[n][1], -a)
+    def _certificate(self, b: int, up: bool) -> dict:
+        """Multipliers of b's violated bound and of every bound blocking b."""
+        own, other = (self.lo, self.hi) if up else (self.hi, self.lo)
+        cert = {own[b][1]: Fraction(1)}
+        for n, a in self.rows[b].items():
+            reason = (other if a > 0 else own)[n][1]
+            cert[reason] = cert.get(reason, ZERO) + abs(a)
         return cert
 
 
@@ -238,112 +218,91 @@ def _build_simplex(facets, var_ids: dict) -> Simplex:
         if not coeffs:
             if k > 0:
                 # 0 + k <= 0 with k > 0: immediately false; fabricate an
-                # empty-interval variable so check() reports it with a cert
+                # empty-interval variable so _relax reports it with a cert
                 v = s.new_var()
                 s.rows[v] = {}
                 s.add_bound(v, "hi", Fraction(-k), idx)
                 s.add_bound(v, "lo", ZERO, idx)
-            continue
-        if len(coeffs) == 1:
+        elif len(coeffs) == 1 and coeffs[0][1] in (1, -1):
+            # a bound; any other facet bounds a slack row, since a bound
+            # v <= -k/a would scale the facet's certificate multiplier by |a|
             (v, a), = coeffs
-            vid = var_ids[v]
-            if a > 0:
-                ok = s.add_bound(vid, "hi", Fraction(-k, a), idx)
-            else:
-                ok = s.add_bound(vid, "lo", Fraction(-k, a), idx)
+            s.add_bound(var_ids[v], "hi" if a > 0 else "lo", Fraction(-k, a), idx)
         else:
-            key = coeffs
-            slack = combo_slack.get(key)
+            slack = combo_slack.get(coeffs)
             if slack is None:
-                slack = s.define_slack({var_ids[v]: Fraction(a) for v, a in coeffs})
-                combo_slack[key] = slack
-            ok = s.add_bound(slack, "hi", Fraction(-k), idx)
-        if not ok:
-            pass  # conflicting bounds; check() will surface the conflict
+                slack = combo_slack[coeffs] = s.define_slack(
+                    {var_ids[v]: Fraction(a) for v, a in coeffs})
+            s.add_bound(slack, "hi", Fraction(-k), idx)
     return s
 
 
-def _conflicting_bounds_cert(s: Simplex) -> Optional[dict]:
+def _relax(facets):
+    """The rational relaxation of a conjunction of facets.
+
+    Returns (simplex, names, res, cert): names[i] is the input variable with
+    simplex id i, res is 'sat' or 'unsat', and cert is the Farkas
+    certificate of an 'unsat' (None for 'sat').
+    """
+    names = sorted({v for coeffs, _ in facets for v, _ in coeffs})
+    s = _build_simplex(facets, {v: i for i, v in enumerate(names)})
     for v in range(s.nvars):
         lo, hi = s.lo.get(v), s.hi.get(v)
         if lo is not None and hi is not None and lo[0] > hi[0]:
-            cert = {}
+            cert: dict = {}
             for reason in (lo[1], hi[1]):
-                cert[reason] = cert.get(reason, ZERO) + Fraction(1)
-            return cert
-    return None
+                cert[reason] = cert.get(reason, ZERO) + 1
+            return s, names, "unsat", cert
+    res, cert = s.check()
+    return s, names, res, cert
+
+
+def rational_cert(facets) -> Optional[dict]:
+    """Farkas certificate if the facets are rationally infeasible, else None."""
+    _, _, res, cert = _relax(facets)
+    return cert if res == "unsat" else None
 
 
 def solve_facets(facets):
     """Integer satisfiability of a conjunction of facets.
 
-    Returns ('sat', model), ('unsat', cert-or-None), or ('unknown', None).
-    cert is a facet->multiplier Farkas certificate valid over the rationals
-    (None when infeasibility was only established through branching).
+    Returns ('sat', model), ('unsat', None) or ('unknown', None).
     """
-    names = sorted({v for coeffs, _ in facets for v, _ in coeffs})
-    var_ids = {v: i for i, v in enumerate(names)}
-    s = _build_simplex(facets, var_ids)
-    bad = _conflicting_bounds_cert(s)
-    if bad is not None:
-        return "unsat", bad
-    res, cert = s.check()
+    s, names, res, _ = _relax(facets)
     if res == "unsat":
-        return "unsat", (cert if not _tainted(cert) else None)
+        return "unsat", None
     return _branch(s, names, facets, Budget(BRANCH_BUDGET))
 
 
-def _tainted(cert: dict) -> bool:
-    return Simplex.BRANCH in cert
-
-
 def _rounding_probe(s: Simplex, names, facets):
-    """Try floor/ceil combinations of the fractional variables."""
+    """Try floor/ceil combinations of up to 4 fractional variables."""
     fracs = [i for i in range(len(names)) if s.beta[i].denominator != 1]
     if len(fracs) > 4:
-        fracs = fracs[:4]
-    base = {i: s.beta[i] for i in range(len(names))}
+        return None
+    floors = [s.beta[i].numerator // s.beta[i].denominator
+              for i in range(len(names))]
     index = {v: i for i, v in enumerate(names)}
     for combo in range(1 << len(fracs)):
-        cand = {}
-        for i in range(len(names)):
-            v = base[i]
-            if v.denominator == 1:
-                cand[i] = int(v)
+        cand = list(floors)
         for bit, i in enumerate(fracs):
-            v = base[i]
-            f = v.numerator // v.denominator
-            cand[i] = f if combo >> bit & 1 == 0 else f + 1
-        if len(cand) < len(names):
+            cand[i] += combo >> bit & 1
+        if any(sum(a * cand[index[v]] for v, a in coeffs) + k > 0
+               for coeffs, k in facets):
             continue
-        ok = True
-        for coeffs, k in facets:
-            if sum(a * cand[index[v]] for v, a in coeffs) + k > 0:
-                ok = False
-                break
-        if ok:
-            for i in range(len(names)):
-                lo, hi = s.lo.get(i), s.hi.get(i)
-                if lo is not None and cand[i] < lo[0]:
-                    ok = False
-                if hi is not None and cand[i] > hi[0]:
-                    ok = False
-            if ok:
-                return {names[i]: cand[i] for i in range(len(names))}
+        if all((s.lo.get(i) is None or cand[i] >= s.lo[i][0])
+               and (s.hi.get(i) is None or cand[i] <= s.hi[i][0])
+               for i in range(len(names))):
+            return dict(zip(names, cand))
     return None
 
 
 def _branch(s: Simplex, names, facets, budget: Budget):
     if not budget.spend():
         return "unknown", None
-    frac_var = None
-    for vid in range(len(names)):
-        if s.beta[vid].denominator != 1:
-            frac_var = vid
-            break
+    frac_var = next((i for i in range(len(names))
+                     if s.beta[i].denominator != 1), None)
     if frac_var is None:
-        model = {names[i]: int(s.beta[i]) for i in range(len(names))}
-        return "sat", model
+        return "sat", {names[i]: int(s.beta[i]) for i in range(len(names))}
     probe = _rounding_probe(s, names, facets)
     if probe is not None:
         return "sat", probe
@@ -364,29 +323,13 @@ def _branch(s: Simplex, names, facets, budget: Budget):
     return ("unknown", None) if unknown else ("unsat", None)
 
 
-def rational_cert(facets) -> Optional[dict]:
-    """Farkas certificate if the facets are rationally infeasible, else None."""
-    names = sorted({v for coeffs, _ in facets for v, _ in coeffs})
-    var_ids = {v: i for i, v in enumerate(names)}
-    s = _build_simplex(facets, var_ids)
-    bad = _conflicting_bounds_cert(s)
-    if bad is not None:
-        return bad
-    res, cert = s.check()
-    if res == "unsat" and cert is not None and not _tainted(cert):
-        return cert
-    return None
-
-
 def eliminate_equalities(lits):
     """Substitute away equalities with a unit-coefficient variable.
 
-    Returns (residual_literals, substitutions) where substitutions is a list
-    of (var, (coeffs, const)) applied in order; or ('unsat', None) when a
-    substitution collapses some literal to false.
+    lits are le/eq atoms.  Returns (residual_literals, substitutions) where
+    substitutions is a list of (var, (coeffs, const)) applied in order; or
+    None when a substitution collapses some literal to false.
     """
-    from . import exprs
-
     work = list(lits)
     subs = []
     while True:
@@ -413,22 +356,16 @@ def eliminate_equalities(lits):
                 continue
             f = exprs.subst(lit, v, repl)
             if f == ("false",):
-                return "unsat", None
-            if f == ("true",):
-                continue
-            if f[0] in ("and", "or"):
-                return None, None  # substitution split a ne; caller handles
-            nxt.append(f)
+                return None
+            if f != ("true",):
+                nxt.append(f)
         work = nxt
 
 
 def merge_le_pairs(lits) -> list:
     """Rewrite complementary le pairs (t<=0 and -t<=0) as equalities."""
-    les = {}
+    les = {(lit[1], lit[2]) for lit in lits if lit[0] == "le"}
     out = []
-    for lit in lits:
-        if lit[0] == "le":
-            les.setdefault((lit[1], lit[2]), 0)
     merged = set()
     for lit in lits:
         if lit[0] != "le":
@@ -437,7 +374,7 @@ def merge_le_pairs(lits) -> list:
         key = (lit[1], lit[2])
         if key in merged:
             continue
-        neg = (tuple((v, -a) for v, a in lit[1]), -lit[2])
+        neg = (_neg_coeffs(lit[1]), -lit[2])
         if neg in les:
             merged.add(key)
             merged.add(neg)
@@ -451,17 +388,14 @@ def merge_le_pairs(lits) -> list:
 
 
 def solve_literals(lits):
-    """Conjunction of le/eq atoms: eliminate equalities, then simplex + b&b."""
-    reduced, subs = eliminate_equalities(merge_le_pairs(lits))
-    if reduced == "unsat":
-        return "unsat", None
+    """Conjunction of le/eq atoms: eliminate equalities, then solve_facets."""
+    reduced = eliminate_equalities(merge_le_pairs(lits))
     if reduced is None:
-        reduced, subs = list(lits), []
-    facets, _ = expand_literals(reduced)
-    res, payload = solve_facets(facets)
+        return "unsat", None
+    lits, subs = reduced
+    res, model = solve_facets(expand_literals(lits))
     if res != "sat":
         return res, None
-    model = dict(payload)
     for v, (coeffs, k) in reversed(subs):
         model[v] = sum(a * model.get(w, 0) for w, a in coeffs) + k
     return "sat", model
@@ -510,11 +444,8 @@ def _split_ne(lits):
         if i == len(nes):
             yield rest + acc
             return
-        _, coeffs, k = nes[i]
-        lt = ("le", coeffs, k + 1)
-        gt = ("le", tuple((v, -a) for v, a in coeffs), -k + 1)
-        yield from go(i + 1, acc + [lt])
-        yield from go(i + 1, acc + [gt])
+        for half in ne_halves(nes[i]):
+            yield from go(i + 1, acc + [half])
     yield from go(0, [])
 
 
@@ -523,8 +454,6 @@ def solve_formula(f):
 
     Returns ('sat', model), ('unsat', None) or ('unknown', None).
     """
-    from . import exprs
-
     count = 0
     saw_unknown = False
     try:

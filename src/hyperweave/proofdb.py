@@ -18,7 +18,7 @@ import subprocess
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from . import exprs, lia
 from .automata import Nfa
@@ -520,25 +520,20 @@ def _interpolate_farkas(trace) -> list | None:
     ne_positions = []
     for pos, forms in enumerate(enc.conjuncts):
         for f in forms:
-            parts = f[1] if f[0] == "and" else (f,)
-            for g in parts:
+            for g in (f[1] if f[0] == "and" else (f,)):
                 if g == TRUE:
                     continue
-                if g[0] == "le":
-                    for case in cases:
-                        case.append((pos, (g[1], g[2])))
-                elif g[0] == "eq":
-                    for case in cases:
-                        case.append((pos, (g[1], g[2])))
-                        case.append((pos, (tuple((v, -a) for v, a in g[1]), -g[2])))
-                elif g[0] == "ne":
+                if g[0] == "ne":
                     if len(ne_positions) >= 4:
                         return None
                     ne_positions.append(pos)
-                    lt = (g[1], g[2] + 1)
-                    gt = (tuple((v, -a) for v, a in g[1]), -g[2] + 1)
+                    lt, gt = lia.expand_literals(lia.ne_halves(g))
                     cases = ([case + [(pos, lt)] for case in cases]
                              + [case + [(pos, gt)] for case in cases])
+                elif g[0] in ("le", "eq"):
+                    facets = [(pos, fc) for fc in lia.expand_literals([g])]
+                    for case in cases:
+                        case.extend(facets)
                 else:
                     return None  # disjunctive assume: no conjunctive encoding
 
@@ -586,9 +581,7 @@ def _partial_sums(case, cert, enc: SsaTrace, n: int):
             base, _, ver = v.partition("@")
             if live.get(base, 0) != (int(ver) if ver else 0):
                 return None  # dead SSA version survived; certificate unusable
-        denom = 1
-        for a in list(coeffs.values()) + [const]:
-            denom = denom * a.denominator // gcd(denom, a.denominator)
+        denom = lcm(*(a.denominator for a in [*coeffs.values(), const]))
         atom = exprs._atom("le",
                            {v.partition("@")[0]: int(a * denom) for v, a in coeffs.items()},
                            int(const * denom))

@@ -1,9 +1,18 @@
+import os
 import random
 
 import pytest
 
 from hyperweave import proofdb
 from hyperweave.automata import Dfa
+
+
+def child_env() -> dict:
+    """Environment for a python child process that imports the hyperweave
+    this session tests (a source tree need not be installed)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(proofdb.__file__)))
+    return {**os.environ,
+            "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
 
 
 @pytest.fixture(scope="session")

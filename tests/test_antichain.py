@@ -220,6 +220,9 @@ def test_strategy_parse():
     assert Strategy.parse("pe") == Strategy("pe")
     with pytest.raises(ValueError):
         Strategy.parse("nope")
+    for text in ("bpe-l0", "bpe-m0", "bpe-m-1"):
+        with pytest.raises(ValueError, match="N >= 1"):
+            Strategy.parse(text)
 
 
 def test_stats_counters_present():

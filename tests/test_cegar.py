@@ -1,4 +1,3 @@
-import os
 import subprocess
 import sys
 import types
@@ -12,6 +11,7 @@ from hyperweave.automata import determinize
 from hyperweave.cegar import RoundRecord, VerifyConfig, progress_audit, verify
 from hyperweave.frontend import load_program
 from hyperweave.reduction import LINEAR, PARTITION
+from tests.conftest import child_env
 
 SIMPLEINC = """
 var x, y;
@@ -102,13 +102,13 @@ def test_timeout_returns_unknown():
     assert "timeout" in v.reason
 
 
-def test_proof_cap_returns_unknown():
+def test_proof_cap_returns_unknown(monkeypatch):
     # a program needing more than one assertion against a proof cap of 3
+    monkeypatch.setattr(cegar, "MAX_PROOF", 3)
     dfa, dep, _ = load_program(SIMPLEINC)
-    v = verify(dfa, dep, VerifyConfig(timeout=60, max_proof=3))
-    assert v.verdict in ("unknown", "safe")
-    if v.verdict == "unknown":
-        assert "proof size" in v.reason
+    v = verify(dfa, dep, VerifyConfig(timeout=60))
+    assert v.verdict == "unknown"
+    assert v.reason == "proof size exceeded 3"
 
 
 def test_stats_rounds_match_round_records():
@@ -208,7 +208,6 @@ def test_failed_revalidation_is_unknown(monkeypatch):
 def _verify_under_optimize(patch: str, program: str, config: str) -> str:
     """Verdict and reason of verify in a python -O child, after patch."""
     # invariant checks must not be assert statements, which -O strips
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cegar.__file__)))
     code = ("from hyperweave import antichain, lta, proofdb\n"
             "from hyperweave.cegar import VerifyConfig, verify\n"
             "from hyperweave.frontend import load_program\n"
@@ -216,8 +215,7 @@ def _verify_under_optimize(patch: str, program: str, config: str) -> str:
             f"dfa, dep, _ = load_program({program!r})\n"
             f"v = verify(dfa, dep, VerifyConfig({config}))\n"
             "print(v.verdict, getattr(v, 'reason', ''))\n")
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=child_env(),
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     return out.stdout.strip()

@@ -12,6 +12,7 @@ from hyperweave.cli import (formula_from_json, formula_to_json, main,
                             run_benchmark)
 from hyperweave.frontend import load_program
 from hyperweave.reduction import PARTITION
+from tests.conftest import child_env
 
 SAFE_SRC = """
 var x, y;
@@ -39,6 +40,8 @@ def test_exit_codes(tmpfiles, capsys):
     assert main(["verify", unsafe, "--timeout", "60"]) == 1
     assert main(["verify", "/missing.imp"]) == 64
     capsys.readouterr()
+    assert main(["verify", safe, "--strategy", "bpe-l0"]) == 64
+    assert "N >= 1" in capsys.readouterr().err
 
 
 def test_parse_error_exit(tmp_path, capsys):
@@ -130,6 +133,7 @@ def test_run_benchmark_helper(tmp_path):
 
 def test_console_entrypoint_runs():
     proc = subprocess.run([sys.executable, "-m", "hyperweave.cli", "verify",
-                           "--help"], capture_output=True, text=True)
+                           "--help"], capture_output=True, text=True,
+                          env=child_env())
     assert proc.returncode in (0, 64)
     assert "strategy" in proc.stdout + proc.stderr

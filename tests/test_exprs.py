@@ -58,7 +58,6 @@ def test_eval():
     f = exprs.c_and([cmp("<", var("x"), var("y")), cmp("!=", var("y"), num(3))])
     assert exprs.eval_formula(f, {"x": 0, "y": 2})
     assert not exprs.eval_formula(f, {"x": 0, "y": 3})
-    assert exprs.eval_int(("mul", num(3), ("sub", var("x"), num(1))), {"x": 5}) == 12
 
 
 def test_implies_atoms():

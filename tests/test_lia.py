@@ -1,3 +1,4 @@
+import itertools
 import random
 
 from fractions import Fraction
@@ -12,10 +13,61 @@ def cmp(op, l, r):
 
 def test_unsat_with_certificate():
     lits = [cmp(">", var("x"), num(0)), cmp("<", var("x"), num(0))]
-    facets, _ = lia.expand_literals(lits)
-    res, cert = lia.solve_facets(facets)
-    assert res == "unsat"
+    facets = lia.expand_literals(lits)
+    assert lia.solve_facets(facets) == ("unsat", None)
+    cert = lia.rational_cert(facets)
     assert cert is not None and lia.verify_cert(facets, cert)
+
+
+def _random_facets(rng, names):
+    facets = []
+    for _ in range(rng.randint(1, 5)):
+        coeffs = tuple((v, a) for v in names if (a := rng.randint(-3, 3)))
+        facets.append((coeffs, rng.randint(-4, 4)))
+    return facets
+
+
+def test_shared_relaxation_on_random_facets():
+    # rational_cert and solve_facets share one relaxation: a certificate
+    # always verifies and means unsat, every model satisfies all facets, and
+    # an integer-only unsat has no solution in a box
+    rng = random.Random(5)
+    certs = models = 0
+    for _ in range(300):
+        names = ["x", "y", "z"][:rng.randint(2, 3)]
+        facets = _random_facets(rng, names)
+        cert = lia.rational_cert(facets)
+        res, model = lia.solve_facets(facets)
+        holds = lambda env: all(sum(a * env[v] for v, a in coeffs) + k <= 0
+                                for coeffs, k in facets)
+        if cert is not None:
+            certs += 1
+            assert lia.verify_cert(facets, cert)
+            assert (res, model) == ("unsat", None)
+        elif res == "sat":
+            models += 1
+            assert holds(model)
+        elif res == "unsat":
+            box = itertools.product(range(-6, 7), repeat=len(names))
+            assert not any(holds(dict(zip(names, p))) for p in box)
+    assert certs and models
+
+
+def test_many_fractional_variables_still_sat():
+    # 2a + 3b = 1 relaxes to a = 1/2, b = 0: five such pairs leave five
+    # fractional variables, past what the rounding probe tries
+    lits = [cmp("=", ("add", ("mul", num(2), var(f"a{i}")),
+                      ("mul", num(3), var(f"b{i}"))), num(1))
+            for i in range(5)]
+    facets = lia.expand_literals(lits)
+    s, names, res, _ = lia._relax(facets)
+    assert res == "sat"
+    assert sum(s.beta[i].denominator != 1 for i in range(len(names))) > 4
+    assert lia._rounding_probe(s, names, facets) is None
+    f = exprs.c_and(lits)
+    res, model = lia.solve_formula(f)
+    assert res == "sat"
+    assert exprs.eval_formula(f, model)
 
 
 def test_sat_model_satisfies():

@@ -9,14 +9,15 @@ from hyperweave import proofdb
 from hyperweave.cli import run_benchmark
 from hyperweave.exprs import atom_from_cmp, num, var
 from hyperweave.smtserver import parse_sexprs
+from tests.conftest import child_env
 
 BENCH_DIR = os.path.join(os.path.dirname(__file__), "..", "benchmarks")
 SMTSERVER = [sys.executable, "-m", "hyperweave.smtserver"]
 
 
 def run_server(script: str) -> list:
-    proc = subprocess.run([sys.executable, "-m", "hyperweave.smtserver"],
-                          input=script, capture_output=True, text=True)
+    proc = subprocess.run(SMTSERVER, input=script, capture_output=True,
+                          text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip().splitlines()
 
