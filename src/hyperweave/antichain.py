@@ -6,15 +6,22 @@ iota set are never inactive, so the table only tracks iota = false; for fixed
 by its maximal elements (an antichain of bitmasks).  The fixpoint is computed
 lazily cell by cell with dependency tracking; witnesses are reconstructed on
 demand from per-element insertion ranks rather than stored per order.
+
+The proof side is read only through ``row(q)`` and ``is_final(q)``, so it may
+be a LazyDfa whose subset construction is expanded just for the macro-states
+that live cells reach.  A cell whose program state cannot reach a final
+state never meets the [full] leaf case below it, so its value is [] under
+every order family: such cells are never materialized.
 """
 
 from __future__ import annotations
 
+import time
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 
-from .automata import Dfa, reindex
+from .automata import AlphabetError, Dfa
 from .lta import BrokenInvariant
 from .reduction import OrderSource, _dep_masks
 
@@ -24,6 +31,12 @@ LEAF_COUNT_CAP = 10 ** 9           # leaf counts saturate here
 
 class ResourceLimit(Exception):
     pass
+
+
+def check_deadline(deadline: float | None):
+    """Raise ResourceLimit('timeout') once time.monotonic() passes deadline."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise ResourceLimit("timeout")
 
 
 # ---------------------------------------------------------- antichain bits
@@ -87,11 +100,13 @@ class Stats:
     meets: int = 0
     peak_width: int = 0
     births: int = 0
+    api_rows: int = 0      # rows of a LazyDfa proof side; its owner sets it
 
     def as_dict(self) -> dict:
         return dict(cells=self.cells, fmax_calls=self.fmax_calls,
                     joins=self.joins, meets=self.meets,
-                    peak_width=self.peak_width, births=self.births)
+                    peak_width=self.peak_width, births=self.births,
+                    api_rows=self.api_rows)
 
 
 # ------------------------------------------------------------- fmax steps
@@ -197,9 +212,21 @@ class CheckResult:
 
 
 class CheckEngine:
-    def __init__(self, ap: Dfa, api: Dfa, dep, orders: OrderSource):
+    """The fixpoint over cells (program state, proof state).
+
+    api is a Dfa or LazyDfa over ap's alphabet in the same order; live is
+    the set of program states that can reach a final state (computed when
+    None); run() gives up with ResourceLimit('timeout') after deadline.
+    """
+
+    def __init__(self, ap: Dfa, api, dep, orders: OrderSource,
+                 live=None, deadline: float | None = None):
+        if tuple(api.alphabet) != tuple(ap.alphabet):
+            raise AlphabetError("proof alphabet order differs from the program's")
         self.ap = ap
-        self.api = reindex(api, ap.alphabet)
+        self.api = api
+        self.live = ap.live_states() if live is None else live
+        self.deadline = deadline
         self.k = len(ap.alphabet)
         self.full = (1 << self.k) - 1
         self.dmasks = _dep_masks(dep, self.k)
@@ -232,11 +259,17 @@ class CheckEngine:
     def _fmax(self, cell) -> list:
         qp, qpi = cell
         self.stats.fmax_calls += 1
-        if qp in self.ap.finals and qpi not in self.api.finals:
+        if self.stats.fmax_calls & 1023 == 0:
+            check_deadline(self.deadline)
+        if qp in self.ap.finals and not self.api.is_final(qpi):
             return [self.full]
-        rowp, rowpi = self.ap.delta[qp], self.api.delta[qpi]
+        rowp, rowpi = self.ap.delta[qp], self.api.row(qpi)
+        live = self.live
         children = []
         for a in range(self.k):
+            if rowp[a] not in live:
+                children.append([])
+                continue
             child = (rowp[a], rowpi[a])
             self._materialize(child)
             self.rdeps[child].add(cell)
@@ -250,6 +283,8 @@ class CheckEngine:
     def run(self) -> bool:
         """Compute the fixpoint; True iff the initial state stays active."""
         init = (self.ap.initial, self.api.initial)
+        if init[0] not in self.live:
+            return True
         self._materialize(init)
         while self._queue:
             cell = self._queue.popleft()
@@ -285,15 +320,16 @@ class CheckEngine:
         return best
 
 
-def check(ap: Dfa, api: Dfa, dep, orders: OrderSource,
-          thin: bool = False) -> CheckResult:
+def check(ap: Dfa, api, dep, orders: OrderSource, thin: bool = False,
+          live=None, deadline: float | None = None) -> CheckResult:
     """Does some reduction of L(ap) lie inside L(api)?
 
     Covered (covered=True) iff the intersection LTA's initial state is
     active, i.e. the fixpoint antichain at the initial cell is empty.
-    thin selects the thinned counterexample forest (bounded strategies).
+    thin selects the thinned counterexample forest (bounded strategies);
+    api, live and deadline are as for CheckEngine.
     """
-    engine = CheckEngine(ap, api, dep, orders)
+    engine = CheckEngine(ap, api, dep, orders, live, deadline)
     covered = engine.run()
     forest = None if covered else CexForest(engine, thin=thin)
     return CheckResult(covered, forest, engine.stats)
@@ -321,7 +357,7 @@ class CexForest:
 
     def is_leaf(self, node) -> bool:
         qp, qpi, _ = node
-        return qp in self.e.ap.finals and qpi not in self.e.api.finals
+        return qp in self.e.ap.finals and not self.e.api.is_final(qpi)
 
     def _rank(self, cell, s: int):
         key = (cell, s)
@@ -342,7 +378,7 @@ class CexForest:
         r0 = self._rank(cell, s)
         if r0 is None:
             raise BrokenInvariant("children requested for an active state")
-        rowp, rowpi = self.e.ap.delta[qp], self.e.api.delta[qpi]
+        rowp, rowpi = self.e.ap.delta[qp], self.e.api.row(qpi)
 
         def child_of(a: int, sleep: int):
             return (rowp[a], rowpi[a], sleep)

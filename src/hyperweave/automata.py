@@ -3,6 +3,9 @@
 Automata are generic over hashable letter labels; the verifier instantiates
 labels with Stmt objects (ordered by id), tests mostly use strings.  Every
 Dfa is total: a non-accepting sink completes the transition function.
+A LazyDfa is the subset construction of an Nfa built one row at a time; it
+and Dfa share the read interface ``alphabet``, ``initial``, ``row(q)`` and
+``is_final(q)``.
 """
 
 from __future__ import annotations
@@ -46,6 +49,12 @@ class Dfa:
 
     def step(self, q: int, label) -> int:
         return self.delta[q][self.letter_index(label)]
+
+    def row(self, q: int) -> list:
+        return self.delta[q]
+
+    def is_final(self, q: int) -> bool:
+        return q in self.finals
 
     def accepts(self, word) -> bool:
         q = self.initial
@@ -131,6 +140,58 @@ def determinize(nfa: Nfa, alphabet=None) -> Dfa:
         delta.append(row)
     finals = frozenset(i for i, m in enumerate(order) if m & nfa.finals)
     return Dfa(tuple(alphabet), delta, 0, finals)
+
+
+class LazyDfa:
+    """The subset construction of nfa over alphabet, expanded on demand.
+
+    Macro-states are int bitmasks over NFA states, numbered in the order they
+    are first reached; state 0 is {initial} and the empty mask is the sink.
+    ``row(q)`` builds state q's successor row on first use, so only the
+    macro-states whose rows some caller reads are ever expanded.
+    """
+
+    def __init__(self, nfa: Nfa, alphabet=None):
+        self.alphabet = tuple(nfa.alphabet if alphabet is None else alphabet)
+        index = {label: a for a, label in enumerate(self.alphabet)}
+        # _succ[a][p]: mask of the NFA successors of state p on letter a
+        self._succ = [[0] * nfa.n for _ in self.alphabet]
+        for (p, label), targets in nfa.trans.items():
+            a = index.get(label)
+            if a is not None:
+                self._succ[a][p] = sum(1 << t for t in targets)
+        self._finals = sum(1 << q for q in nfa.finals)
+        self.initial = 0
+        self._masks = [1 << nfa.initial]
+        self._ids = {self._masks[0]: 0}
+        self._rows: list = [None]
+        self.rows_built = 0
+
+    def _intern(self, mask: int) -> int:
+        q = self._ids.get(mask)
+        if q is None:
+            q = self._ids[mask] = len(self._masks)
+            self._masks.append(mask)
+            self._rows.append(None)
+        return q
+
+    def row(self, q: int) -> list:
+        row = self._rows[q]
+        if row is None:
+            mask = self._masks[q]
+            states = [p for p in range(mask.bit_length()) if mask >> p & 1]
+            row = []
+            for succ in self._succ:
+                nxt = 0
+                for p in states:
+                    nxt |= succ[p]
+                row.append(self._intern(nxt))
+            self._rows[q] = row
+            self.rows_built += 1
+        return row
+
+    def is_final(self, q: int) -> bool:
+        return self._masks[q] & self._finals != 0
 
 
 def eliminate_epsilon(n: int, trans: dict, eps: dict, initial: int, finals: set, alphabet) -> Nfa:

@@ -1,11 +1,15 @@
 """The counterexample-guided refinement loop.
 
 Each round: build the proof NFA from the current assertion set (incremental,
-cache-backed), determinize it, and ask the checker whether some sleep-set
-reduction of the program is covered.  Covered means safe once a fresh solver
-re-proves the proof automaton's edges and a fresh fixpoint agrees; otherwise
-the chosen strategy extracts counterexample traces from the inactivity proof,
-feasible traces are real violations, and infeasible ones are interpolated.
+cache-backed) and ask the checker whether some sleep-set reduction of the
+program is covered.  There is no separate determinize step: the antichain
+checker reads the proof NFA through a LazyDfa (only the explicit-LTA
+baseline and the naive strategy determinize eagerly).  Covered means safe
+once a fresh solver re-proves the proof automaton's edges and a fresh
+fixpoint agrees; otherwise the chosen strategy extracts counterexample traces
+from the inactivity proof, feasible traces are real violations, and
+infeasible ones are interpolated.  The run's deadline also reaches the
+check, the Hoare-triple batches and revalidation.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass, field
 from . import antichain as ac
 from . import lta as ltamod
 from . import proofdb
-from .automata import Dfa, determinize, first_difference_trace
+from .automata import Dfa, LazyDfa, determinize, first_difference_trace
 from .exprs import fmt
 from .reduction import (OrderSource, PARTITION, ReductionTooLarge,
                         sleep_reduction_lta)
@@ -30,6 +34,11 @@ class RoundRecord:
     proof_size: int
     construction_time: float
     checking_time: float
+    # the round's antichain check counters (0 on the baseline engine)
+    cells: int = 0
+    fmax_calls: int = 0
+    births: int = 0
+    api_rows: int = 0              # proof-DFA rows the check built
 
     def as_dict(self) -> dict:
         return dict(round=self.number,
@@ -37,7 +46,9 @@ class RoundRecord:
                     new_assertions=self.new_assertions,
                     proof_size=self.proof_size,
                     construction_time=self.construction_time,
-                    checking_time=self.checking_time)
+                    checking_time=self.checking_time,
+                    cells=self.cells, fmax_calls=self.fmax_calls,
+                    births=self.births, api_rows=self.api_rows)
 
 
 @dataclass
@@ -87,9 +98,11 @@ class _BaselineChecker:
     """Explicit-LTA emptiness; the --antichain off engine."""
 
     def __init__(self, program: Dfa, dep, orders: OrderSource):
+        self.alphabet = program.alphabet
         self.reduce_lta = sleep_reduction_lta(program, dep, orders)
 
-    def check(self, api: Dfa):
+    def check(self, nfa):
+        api = determinize(nfa, self.alphabet)
         m = ltamod.lta_intersect(self.reduce_lta, ltamod.lta_powerset(api))
         inact = ltamod.inactive_baseline(m)
         covered = m.initial not in inact.inactive
@@ -97,19 +110,28 @@ class _BaselineChecker:
         return covered, forest, None
 
 
-def _checker(program: Dfa, dep, cfg: VerifyConfig):
-    """The emptiness check cfg selects: api -> (covered, forest, stats).
+def _checker(program: Dfa, dep, cfg: VerifyConfig, live, deadline):
+    """The emptiness check cfg selects: proof nfa -> (covered, forest, stats).
 
-    stats is the antichain engine's counter dict, None for the baseline.
+    stats is the antichain engine's counter dict, with the number of rows
+    of the lazy proof DFA it built (api_rows), None for the baseline.  live
+    is the program's live state set; the antichain check gives up at
+    deadline.
     """
     if not cfg.use_antichain:
         return _BaselineChecker(program, dep, cfg.orders).check
     thin = cfg.orders.kind == "partition" and cfg.strategy.kind == "bpe"
 
-    def check(api: Dfa):
-        result = ac.check(program, api, dep, cfg.orders, thin=thin)
+    def check(nfa):
+        api = LazyDfa(nfa, program.alphabet)
+        result = ac.check(program, api, dep, cfg.orders, thin, live, deadline)
+        result.stats.api_rows = api.rows_built
         return result.covered, result.forest, result.stats.as_dict()
     return check
+
+
+# RoundRecord fields taken from the antichain check's stats
+_ROUND_COUNTERS = ("cells", "fmax_calls", "births", "api_rows")
 
 
 def verify(program: Dfa, dep, config: VerifyConfig | None = None):
@@ -118,6 +140,9 @@ def verify(program: Dfa, dep, config: VerifyConfig | None = None):
     seen_cexs: set = set()
     stats: dict = {"engine": "antichain" if cfg.use_antichain else "baseline",
                    "strategy": str(cfg.strategy), "orders": cfg.orders.kind}
+    if cfg.use_antichain:
+        # present even when the first check times out
+        stats["check"] = ac.Stats().as_dict()
     deadline = time.monotonic() + cfg.timeout
     strategy = cfg.strategy
     fell_back = False
@@ -128,32 +153,40 @@ def verify(program: Dfa, dep, config: VerifyConfig | None = None):
 
     try:
         solver = proofdb.SolverClient(cfg.solver_command)
-        builder = proofdb.ProofNfaBuilder(program.alphabet, solver, cache)
-        check = _checker(program, dep, cfg)
+        builder = proofdb.ProofNfaBuilder(program.alphabet, solver, cache,
+                                          deadline)
+        check = _checker(program, dep, cfg, program.live_states(), deadline)
         for number in range(1, MAX_ROUNDS + 1):
             if time.monotonic() > deadline:
                 return Unknown("timeout", rounds, stats)
 
             t0 = time.monotonic()
             nfa = builder.extend(proof)
-            api = determinize(nfa, program.alphabet)
             t_build = time.monotonic() - t0
 
             t0 = time.monotonic()
-            covered, forest, check_stats = check(api)
+            covered, forest, check_stats = check(nfa)
+            counters = {}
             if check_stats is not None:
                 stats["check"] = check_stats
+                counters = {k: check_stats[k] for k in _ROUND_COUNTERS}
             t_check = time.monotonic() - t0
 
+            def record(words, new_assertions):
+                rounds.append(RoundRecord(
+                    number, list(words), [fmt(f) for f in new_assertions],
+                    len(proof), t_build, t_check, **counters))
+
             if covered:
-                rounds.append(RoundRecord(number, [], [], len(proof),
-                                          t_build, t_check))
-                if not _revalidate(program, dep, cfg, proof, builder.edges):
+                record([], [])
+                if not _revalidate(program, cfg, proof, builder.edges, check,
+                                   deadline):
                     return Unknown("revalidation failed", rounds, stats)
                 return Safe(list(proof), rounds, stats)
 
             if strategy.kind == "naive":
-                word = first_difference_trace(program, api)
+                word = first_difference_trace(
+                    program, determinize(nfa, program.alphabet))
                 if word is None:
                     return Unknown("naive strategy found no difference trace",
                                    rounds, stats)
@@ -177,10 +210,7 @@ def verify(program: Dfa, dep, config: VerifyConfig | None = None):
                 if model is not None:
                     if proofdb.replay(trace, model) is None:
                         return Unknown("model does not replay", rounds, stats)
-                    rounds.append(RoundRecord(
-                        number, list(words[: words.index(w) + 1]),
-                        [fmt(f) for f in new_assertions], len(proof),
-                        t_build, t_check))
+                    record(words[: words.index(w) + 1], new_assertions)
                     return Unsafe(trace, model, rounds, stats)
                 chain = proofdb.interpolate(trace, solver,
                                             engine=cfg.interpolation,
@@ -189,9 +219,7 @@ def verify(program: Dfa, dep, config: VerifyConfig | None = None):
                     if proof.add(f):
                         new_assertions.append(f)
 
-            rounds.append(RoundRecord(
-                number, list(words), [fmt(f) for f in new_assertions],
-                len(proof), t_build, t_check))
+            record(words, new_assertions)
 
             if not new_assertions:
                 if (strategy.kind, strategy.mode) == ("bpe", "rr") and not fell_back:
@@ -218,22 +246,25 @@ def verify(program: Dfa, dep, config: VerifyConfig | None = None):
             solver.close()
 
 
-def _revalidate(program: Dfa, dep, cfg: VerifyConfig, proof, edges) -> bool:
+def _revalidate(program: Dfa, cfg: VerifyConfig, proof, edges, check,
+                deadline) -> bool:
     """Independent re-check of the proof by its edges: a fresh solver, with
-    no shared cache, re-proves each edge, and a fresh fixpoint must find the
-    NFA of the confirmed edges covering (a missing edge only shrinks it)."""
+    no shared cache, re-proves each edge, and a fresh fixpoint (check, from
+    _checker, builds one per call) must find the NFA of the confirmed edges
+    covering (a missing edge only shrinks it).  Past the deadline it raises
+    ResourceLimit('timeout')."""
     edges = sorted(edges)
     fs, stmts = proof.assertions, {s.id: s for s in program.alphabet}
     triples = [(fs[i], stmts[sid], fs[j]) for i, sid, j in edges]
     try:
         with proofdb.SolverClient(cfg.solver_command) as solver:
-            verdicts = proofdb.hoare_verdicts(triples, solver)
+            verdicts = proofdb.hoare_verdicts(triples, solver,
+                                              deadline=deadline)
     except proofdb.SolverError:
         return False
     nfa = proofdb.proof_nfa(proof, program.alphabet,
                             [e for e, valid in zip(edges, verdicts) if valid])
-    api = determinize(nfa, program.alphabet)
-    return _checker(program, dep, cfg)(api)[0]
+    return check(nfa)[0]
 
 
 def progress_audit(rounds) -> bool:

@@ -23,6 +23,7 @@ sum(c*v) + k <= 0.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 from . import exprs
@@ -263,11 +264,26 @@ def rational_cert(facets) -> Optional[dict]:
     return cert if res == "unsat" else None
 
 
+def _tighten(facet):
+    """The facet divided by the gcd g of its coefficients, with the constant
+    rounded up to ceil(k/g): the same integer points, a tighter relaxation."""
+    coeffs, k = facet
+    g = 0
+    for _, a in coeffs:
+        g = gcd(g, a)
+    if g <= 1:
+        return facet
+    return tuple((v, a // g) for v, a in coeffs), -(-k // g)
+
+
 def solve_facets(facets):
     """Integer satisfiability of a conjunction of facets.
 
-    Returns ('sat', model), ('unsat', None) or ('unknown', None).
+    Returns ('sat', model), ('unsat', None) or ('unknown', None).  Each facet
+    is gcd-tightened first (rational_cert is not: its certificate is over
+    the input facets).
     """
+    facets = [_tighten(f) for f in facets]
     s, names, res, _ = _relax(facets)
     if res == "unsat":
         return "unsat", None

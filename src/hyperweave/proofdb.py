@@ -21,6 +21,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import exprs, lia
+from .antichain import check_deadline
 from .automata import Nfa
 from .exprs import FALSE, TRUE
 from .frontend import Stmt
@@ -275,10 +276,13 @@ def syntactic_verdict(pre, stmt: Stmt, post, wpf):
 
 
 def hoare_verdicts(triples, solver: SolverClient,
-                   cache: EntailmentCache | None = None) -> list[bool]:
+                   cache: EntailmentCache | None = None,
+                   deadline: float | None = None) -> list[bool]:
     """Validity of each Hoare triple (pre, stmt, post): the one place that
-    decides triples, by the cache, then syntactic_verdict, then one solver
-    batch for the triples still open.  New verdicts go into the cache."""
+    decides triples, by the cache, then syntactic_verdict, then solver
+    batches of SolverClient.BATCH for the triples still open.  New verdicts
+    go into the cache.  Between batches, a passed deadline raises
+    ResourceLimit('timeout')."""
     cache = cache if cache is not None else EntailmentCache()
     out: list = []
     wps: dict = {}                 # (stmt id, post) -> [wp, negated wp]
@@ -300,9 +304,14 @@ def hoare_verdicts(triples, solver: SolverClient,
             else:
                 cache.put(key, verdict)
         out.append(verdict)
-    for (k, key), res in zip(pending, solver.check_sat_batch(queries)):
-        out[k] = res == "unsat"
-        cache.put(key, out[k])
+    for lo in range(0, len(queries), SolverClient.BATCH):
+        if lo:
+            check_deadline(deadline)
+        hi = lo + SolverClient.BATCH
+        for (k, key), res in zip(pending[lo:hi],
+                                 solver.check_sat_batch(queries[lo:hi])):
+            out[k] = res == "unsat"
+            cache.put(key, out[k])
     return out
 
 
@@ -345,13 +354,15 @@ class ProofNfaBuilder:
 
     Only triples involving assertions added since the last build are sent to
     the solver; everything else is served by the entailment cache or the
-    stored edge set.
+    stored edge set.  deadline is passed on to hoare_verdicts.
     """
 
-    def __init__(self, alphabet, solver: SolverClient, cache: EntailmentCache):
+    def __init__(self, alphabet, solver: SolverClient, cache: EntailmentCache,
+                 deadline: float | None = None):
         self.alphabet = tuple(alphabet)
         self.solver = solver
         self.cache = cache
+        self.deadline = deadline
         self.n = 0                 # assertions the edges cover
         self.edges: set = set()  # (pre_idx, stmt_id, post_idx)
 
@@ -361,7 +372,7 @@ class ProofNfaBuilder:
         new = [(i, stmt, j) for stmt in self.alphabet for j in range(n)
                for i in range(n) if i >= old_n or j >= old_n]
         verdicts = hoare_verdicts([(fs[i], stmt, fs[j]) for i, stmt, j in new],
-                                  self.solver, self.cache)
+                                  self.solver, self.cache, self.deadline)
         self.edges.update((i, stmt.id, j)
                           for (i, stmt, j), valid in zip(new, verdicts) if valid)
         return proof_nfa(proof, self.alphabet, self.edges)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from hyperweave import proofdb
-from hyperweave.automata import Dfa
+from hyperweave.automata import Dfa, Nfa
 
 
 def child_env() -> dict:
@@ -28,6 +28,17 @@ def random_dfa(rng: random.Random, max_states: int, k: int,
     delta = [[rng.randrange(n) for _ in range(k)] for _ in range(n)]
     finals = frozenset(q for q in range(n) if rng.random() < final_p)
     return Dfa(tuple(range(k)), delta, 0, finals)
+
+
+def random_nfa(rng: random.Random, n: int, alphabet) -> Nfa:
+    trans = {}
+    for q in range(n):
+        for a in alphabet:
+            for t in range(n):
+                if rng.random() < 0.25:
+                    trans.setdefault((q, a), set()).add(t)
+    finals = {q for q in range(n) if rng.random() < 0.4}
+    return Nfa(n, tuple(alphabet), trans, 0, finals)
 
 
 def random_dep(rng: random.Random, k: int, p: float = 0.5) -> tuple:

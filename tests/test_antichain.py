@@ -1,5 +1,7 @@
 import itertools
+import os
 import random
+import time
 
 import pytest
 
@@ -7,12 +9,16 @@ from hyperweave import antichain as ac
 from hyperweave.antichain import (Strategy, ac_covers, ac_join, ac_meet,
                                   check, downset, extract_counterexamples,
                                   fmax_step)
-from hyperweave.automata import Dfa
+from hyperweave.automata import AlphabetError, Dfa, LazyDfa, determinize
+from hyperweave.cegar import VerifyConfig, verify
 from hyperweave.frontend import load_program
 from hyperweave.lta import (inactive_baseline, is_empty, lta_intersect,
                             lta_powerset)
 from hyperweave.reduction import LINEAR, PARTITION, sleep_reduction_lta
-from tests.conftest import random_dep, random_dfa
+from tests.conftest import random_dep, random_dfa, random_nfa
+
+MULT = os.path.join(os.path.dirname(__file__), "..", "benchmarks",
+                    "sequential", "mult_dist.imp")
 
 
 def masks(*sets):
@@ -154,17 +160,85 @@ def test_fmax_empty_children():
 
 
 def test_check_equals_baseline_on_random_instances():
+    # the engine reads the proof NFA through a LazyDfa; the baseline gets
+    # the eagerly determinized proof
     rng = random.Random(7)
+    outcomes = set()
     for orders in (LINEAR, PARTITION):
         for _ in range(150):
             k = rng.randint(1, 3)
+            alphabet = tuple(range(k))
             ap = random_dfa(rng, 6, k)
-            api = random_dfa(rng, 4, k)
+            nfa = random_nfa(rng, rng.randint(1, 4), alphabet)
             dep = random_dep(rng, k)
-            res = check(ap, api, dep, orders)
+            res = check(ap, LazyDfa(nfa, alphabet), dep, orders)
             m = lta_intersect(sleep_reduction_lta(ap, dep, orders),
-                              lta_powerset(api))
+                              lta_powerset(determinize(nfa, alphabet)))
             assert res.covered == (not is_empty(m))
+            outcomes.add(res.covered)
+    assert outcomes == {True, False}
+
+
+def _reachable(dfa) -> set:
+    seen, todo = {dfa.initial}, [dfa.initial]
+    while todo:
+        for t in dfa.delta[todo.pop()]:
+            if t not in seen:
+                seen.add(t)
+                todo.append(t)
+    return seen
+
+
+def test_dead_program_states_never_materialized():
+    rng = random.Random(13)
+    with_dead = 0
+    for orders in (LINEAR, PARTITION):
+        for _ in range(150):
+            k = rng.randint(1, 3)
+            alphabet = tuple(range(k))
+            ap = random_dfa(rng, 6, k)
+            live = ap.live_states()
+            engine = ac.CheckEngine(
+                ap, LazyDfa(random_nfa(rng, rng.randint(1, 4), alphabet),
+                            alphabet), random_dep(rng, k), orders)
+            engine.run()
+            assert all(qp in live for qp, _ in engine.cells)
+            with_dead += bool(_reachable(ap) - live)
+    assert with_dead > 50
+
+
+def test_no_dead_cell_on_atomic_mult_dist(monkeypatch):
+    dfa, dep, _ = load_program(open(MULT).read(), atomic=True)
+    live = dfa.live_states()
+    assert _reachable(dfa) - live  # the program has a reachable dead state
+    seen = []
+    real = ac.CheckEngine._materialize
+
+    def materialize(self, cell):
+        seen.append(cell)
+        real(self, cell)
+    monkeypatch.setattr(ac.CheckEngine, "_materialize", materialize)
+    v = verify(dfa, dep, VerifyConfig(timeout=120))
+    assert v.verdict == "safe"
+    assert seen and all(qp in live for qp, _ in seen)
+
+
+def test_proof_alphabet_order_must_match_the_program():
+    ap = Dfa((0, 1), [[0, 0]], 0, frozenset({0}))
+    api = Dfa((1, 0), [[0, 0]], 0, frozenset())
+    with pytest.raises(AlphabetError):
+        check(ap, api, (0b01, 0b10), LINEAR)
+
+
+def test_check_gives_up_at_the_deadline():
+    # a chain of program states: one fmax call per state at least
+    n = 3000
+    ap = Dfa((0,), [[min(q + 1, n - 1)] for q in range(n)], 0,
+             frozenset({n - 1}))
+    api = Dfa((0,), [[0]], 0, frozenset())
+    assert not check(ap, api, (0b1,), LINEAR).covered
+    with pytest.raises(ac.ResourceLimit, match="timeout"):
+        check(ap, api, (0b1,), LINEAR, deadline=time.monotonic() - 1)
 
 
 def test_keep_active_states_never_inactive():

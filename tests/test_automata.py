@@ -3,10 +3,11 @@ import random
 
 import pytest
 
-from hyperweave.automata import (AlphabetError, Dfa, Nfa, check_wellformed,
-                                 determinize, equivalent,
+from hyperweave.automata import (AlphabetError, Dfa, LazyDfa, Nfa,
+                                 check_wellformed, determinize, equivalent,
                                  first_difference_trace, from_words, minimize,
                                  reindex, shuffle)
+from tests.conftest import random_nfa
 
 
 def nfa_accepts(nfa: Nfa, word) -> bool:
@@ -16,17 +17,6 @@ def nfa_accepts(nfa: Nfa, word) -> bool:
         if not states:
             return False
     return bool(states & nfa.finals)
-
-
-def random_nfa(rng, n, alphabet):
-    trans = {}
-    for q in range(n):
-        for a in alphabet:
-            for t in range(n):
-                if rng.random() < 0.25:
-                    trans.setdefault((q, a), set()).add(t)
-    finals = {q for q in range(n) if rng.random() < 0.4}
-    return Nfa(n, tuple(alphabet), trans, 0, finals)
 
 
 def test_determinize_singleton():
@@ -53,6 +43,25 @@ def test_determinize_agrees_with_nfa_simulation():
             for _ in range(4):
                 w = tuple(rng.choice(alphabet) for _ in range(n))
                 assert dfa.accepts(w) == nfa_accepts(nfa, w)
+
+
+def test_lazy_dfa_fully_expanded_equals_determinize():
+    rng = random.Random(17)
+    alphabet = ("a", "b", "c")
+    for _ in range(300):
+        nfa = random_nfa(rng, rng.randint(1, 6), alphabet)
+        lazy = LazyDfa(nfa, alphabet)
+        assert lazy.rows_built == 0
+        delta, top = [], 0
+        while len(delta) <= top:
+            delta.append(lazy.row(len(delta)))
+            top = max(top, *delta[-1])
+        assert lazy.rows_built == len(delta)
+        assert lazy.row(0) is delta[0]  # a row is built once
+        finals = frozenset(q for q in range(len(delta)) if lazy.is_final(q))
+        full = Dfa(alphabet, delta, lazy.initial, finals)
+        check_wellformed(full)
+        assert equivalent(full, determinize(nfa, alphabet))
 
 
 def test_shuffle_basic():

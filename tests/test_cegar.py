@@ -1,5 +1,7 @@
+import os
 import subprocess
 import sys
+import time
 import types
 
 import pytest
@@ -37,6 +39,40 @@ def test_trivially_unsafe_with_replayable_model():
     v = verify(dfa, dep, VerifyConfig(timeout=30))
     assert v.verdict == "unsafe"
     assert proofdb.replay(v.trace, v.model) is not None
+
+
+def test_round_records_carry_check_counters():
+    dfa, dep, _ = load_program(SIMPLEINC)
+    v = verify(dfa, dep, VerifyConfig(timeout=60))
+    assert v.verdict == "safe"
+    for rec in v.rounds:
+        assert rec.cells > 0 and rec.fmax_calls >= rec.cells
+        assert rec.api_rows > 0 and rec.births >= 0
+        assert {"cells", "fmax_calls", "births", "api_rows"} <= set(rec.as_dict())
+    last = v.rounds[-1]
+    assert (last.cells, last.fmax_calls, last.births, last.api_rows) == tuple(
+        v.stats["check"][k] for k in ("cells", "fmax_calls", "births",
+                                      "api_rows"))
+    base = verify(dfa, dep, VerifyConfig(use_antichain=False, timeout=60))
+    assert all(rec.cells == rec.api_rows == 0 for rec in base.rounds)
+
+
+FLIPPED = open(os.path.join(os.path.dirname(__file__), "..", "benchmarks",
+                            "nonatomic", "mult_dist_flipped.imp")).read()
+
+
+@pytest.mark.parametrize("budget", [1.0, 3.0])
+def test_deadline_overshoot_is_bounded(budget):
+    dfa, dep, _ = load_program(FLIPPED)
+    t0 = time.monotonic()
+    v = verify(dfa, dep, VerifyConfig(timeout=budget))
+    took = time.monotonic() - t0
+    assert (v.verdict, v.reason) == ("unknown", "timeout")
+    assert took <= 1.1 * budget + 1.0, took
+    assert {"engine", "strategy", "orders", "check", "proof_size", "rounds",
+            "cache_entries", "solver_queries", "cache_hits",
+            "cache_misses"} <= set(v.stats)
+    assert v.stats["rounds"] == len(v.rounds)
 
 
 def test_safe_parallel_program_all_engines():
@@ -313,9 +349,9 @@ def test_revalidation_redecides_only_the_loop_edges(monkeypatch):
         builders.append(self)
         return real_extend(self, proof)
 
-    def hoare_verdicts(triples, solver, cache=None):
+    def hoare_verdicts(triples, solver, cache=None, deadline=None):
         calls.append((len(triples), solver, cache))
-        return real_verdicts(triples, solver, cache)
+        return real_verdicts(triples, solver, cache, deadline)
     monkeypatch.setattr(proofdb.ProofNfaBuilder, "extend", extend)
     monkeypatch.setattr(proofdb, "hoare_verdicts", hoare_verdicts)
     dfa, dep, _ = load_program(SIMPLEINC)

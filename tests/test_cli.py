@@ -84,6 +84,7 @@ def test_stats_file(tmpfiles, capsys):
     assert main(["verify", safe, "--stats", stats, "--timeout", "60"]) == 0
     lines = [json.loads(l) for l in open(stats)]
     assert lines and all("proof_size" in l for l in lines)
+    assert all(l["cells"] > 0 and l["api_rows"] > 0 for l in lines)
     capsys.readouterr()
 
 

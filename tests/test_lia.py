@@ -53,6 +53,18 @@ def test_shared_relaxation_on_random_facets():
     assert certs and models
 
 
+def test_solve_facets_tightens_by_gcd():
+    # branch and bound alone ran out of budget here; -3x-3y-3z+1 <= 0 over
+    # the integers is -x-y-z+1 <= 0
+    facets = [((("x", -3), ("y", -3), ("z", -3)), 1),
+              ((("x", 1), ("y", 1), ("z", 3)), 2),
+              ((("x", -1), ("y", -3), ("z", -1)), -1)]
+    res, model = lia.solve_facets(facets)
+    assert res == "sat"
+    assert all(sum(a * model[v] for v, a in coeffs) + k <= 0
+               for coeffs, k in facets)
+
+
 def test_many_fractional_variables_still_sat():
     # 2a + 3b = 1 relaxes to a = 1/2, b = 0: five such pairs leave five
     # fractional variables, past what the rounding probe tries

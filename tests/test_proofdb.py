@@ -1,8 +1,10 @@
 import random
+import time
 
 import pytest
 
 from hyperweave import exprs, proofdb
+from hyperweave.antichain import ResourceLimit
 from hyperweave.automata import determinize
 from hyperweave.exprs import FALSE, TRUE, atom_from_cmp, num, var
 from hyperweave.frontend import load_program
@@ -54,6 +56,23 @@ def test_hoare_cache_agrees_with_fresh_queries(solver):
     before = solver.num_queries
     assert proofdb.hoare_verdicts(triples, solver) == verdicts
     assert solver.num_queries - before <= len(triples)
+
+
+def test_hoare_verdicts_stop_between_batches_at_the_deadline():
+    _, trace = single_trace("var x, y; x := x + y; assume(y > 0); y := 0;", 3)
+    bounds = [cmp("<=", var("x"), num(i)) for i in range(25)]
+    triples = [(pre, trace[0], post) for pre in bounds for post in bounds]
+    batches = []
+
+    class Solver:
+        def check_sat_batch(self, queries):
+            batches.append(len(queries))
+            return ["sat"] * len(queries)
+    with pytest.raises(ResourceLimit, match="timeout"):
+        proofdb.hoare_verdicts(triples, Solver(),
+                               deadline=time.monotonic() - 1)
+    assert batches == [proofdb.SolverClient.BATCH]
+    assert proofdb.hoare_verdicts(triples, Solver()) == [False] * len(triples)
 
 
 def test_proof_nfa_trivial_pi(solver):
