@@ -16,27 +16,17 @@ every order family: such cells are never materialized.
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 
 from .automata import AlphabetError, Dfa
+from .limits import ResourceLimit, check_deadline
 from .lta import BrokenInvariant
 from .reduction import OrderSource, _dep_masks
 
 MAX_CELLS = 2000000                # fixpoint cells before ResourceLimit
 LEAF_COUNT_CAP = 10 ** 9           # leaf counts saturate here
-
-
-class ResourceLimit(Exception):
-    pass
-
-
-def check_deadline(deadline: float | None):
-    """Raise ResourceLimit('timeout') once time.monotonic() passes deadline."""
-    if deadline is not None and time.monotonic() > deadline:
-        raise ResourceLimit("timeout")
 
 
 # ---------------------------------------------------------- antichain bits
@@ -100,13 +90,11 @@ class Stats:
     meets: int = 0
     peak_width: int = 0
     births: int = 0
-    api_rows: int = 0      # rows of a LazyDfa proof side; its owner sets it
 
     def as_dict(self) -> dict:
         return dict(cells=self.cells, fmax_calls=self.fmax_calls,
                     joins=self.joins, meets=self.meets,
-                    peak_width=self.peak_width, births=self.births,
-                    api_rows=self.api_rows)
+                    peak_width=self.peak_width, births=self.births)
 
 
 # ------------------------------------------------------------- fmax steps
@@ -214,18 +202,17 @@ class CheckResult:
 class CheckEngine:
     """The fixpoint over cells (program state, proof state).
 
-    api is a Dfa or LazyDfa over ap's alphabet in the same order; live is
-    the set of program states that can reach a final state (computed when
-    None); run() gives up with ResourceLimit('timeout') after deadline.
+    api is a Dfa or LazyDfa over ap's alphabet in the same order; run()
+    gives up with ResourceLimit('timeout') after deadline.
     """
 
     def __init__(self, ap: Dfa, api, dep, orders: OrderSource,
-                 live=None, deadline: float | None = None):
+                 deadline: float | None = None):
         if tuple(api.alphabet) != tuple(ap.alphabet):
             raise AlphabetError("proof alphabet order differs from the program's")
         self.ap = ap
         self.api = api
-        self.live = ap.live_states() if live is None else live
+        self.live = ap.live_states()   # states that can reach a final state
         self.deadline = deadline
         self.k = len(ap.alphabet)
         self.full = (1 << self.k) - 1
@@ -321,15 +308,15 @@ class CheckEngine:
 
 
 def check(ap: Dfa, api, dep, orders: OrderSource, thin: bool = False,
-          live=None, deadline: float | None = None) -> CheckResult:
+          deadline: float | None = None) -> CheckResult:
     """Does some reduction of L(ap) lie inside L(api)?
 
     Covered (covered=True) iff the intersection LTA's initial state is
     active, i.e. the fixpoint antichain at the initial cell is empty.
     thin selects the thinned counterexample forest (bounded strategies);
-    api, live and deadline are as for CheckEngine.
+    api and deadline are as for CheckEngine.
     """
-    engine = CheckEngine(ap, api, dep, orders, live, deadline)
+    engine = CheckEngine(ap, api, dep, orders, deadline)
     covered = engine.run()
     forest = None if covered else CexForest(engine, thin=thin)
     return CheckResult(covered, forest, engine.stats)

@@ -116,30 +116,16 @@ def check_wellformed(dfa: Dfa):
 
 
 def determinize(nfa: Nfa, alphabet=None) -> Dfa:
-    """Subset construction; the empty macro-state is the completing sink."""
-    if alphabet is None:
-        alphabet = nfa.alphabet
-    start = frozenset({nfa.initial})
-    macro_ids = {start: 0}
-    order = [start]
+    """Subset construction; the empty macro-state is the completing sink.
+
+    Expands a LazyDfa fully, in the order its states are numbered.
+    """
+    lazy = LazyDfa(nfa, alphabet)
     delta = []
-    queue = deque([start])
-    while queue:
-        macro = queue.popleft()
-        row = []
-        for label in alphabet:
-            nxt = set()
-            for q in macro:
-                nxt |= nfa.trans.get((q, label), set())
-            nxt = frozenset(nxt)
-            if nxt not in macro_ids:
-                macro_ids[nxt] = len(order)
-                order.append(nxt)
-                queue.append(nxt)
-            row.append(macro_ids[nxt])
-        delta.append(row)
-    finals = frozenset(i for i, m in enumerate(order) if m & nfa.finals)
-    return Dfa(tuple(alphabet), delta, 0, finals)
+    while len(delta) < lazy.n:
+        delta.append(lazy.row(len(delta)))
+    finals = frozenset(q for q in range(lazy.n) if lazy.is_final(q))
+    return Dfa(lazy.alphabet, delta, lazy.initial, finals)
 
 
 class LazyDfa:
@@ -189,6 +175,11 @@ class LazyDfa:
             self._rows[q] = row
             self.rows_built += 1
         return row
+
+    @property
+    def n(self) -> int:
+        """Macro-states reached so far."""
+        return len(self._masks)
 
     def is_final(self, q: int) -> bool:
         return self._masks[q] & self._finals != 0

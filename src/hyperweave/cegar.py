@@ -110,13 +110,12 @@ class _BaselineChecker:
         return covered, forest, None
 
 
-def _checker(program: Dfa, dep, cfg: VerifyConfig, live, deadline):
+def _checker(program: Dfa, dep, cfg: VerifyConfig, deadline):
     """The emptiness check cfg selects: proof nfa -> (covered, forest, stats).
 
     stats is the antichain engine's counter dict, with the number of rows
-    of the lazy proof DFA it built (api_rows), None for the baseline.  live
-    is the program's live state set; the antichain check gives up at
-    deadline.
+    of the lazy proof DFA it built (api_rows), None for the baseline.  The
+    antichain check gives up at deadline.
     """
     if not cfg.use_antichain:
         return _BaselineChecker(program, dep, cfg.orders).check
@@ -124,9 +123,9 @@ def _checker(program: Dfa, dep, cfg: VerifyConfig, live, deadline):
 
     def check(nfa):
         api = LazyDfa(nfa, program.alphabet)
-        result = ac.check(program, api, dep, cfg.orders, thin, live, deadline)
-        result.stats.api_rows = api.rows_built
-        return result.covered, result.forest, result.stats.as_dict()
+        result = ac.check(program, api, dep, cfg.orders, thin, deadline)
+        return (result.covered, result.forest,
+                dict(result.stats.as_dict(), api_rows=api.rows_built))
     return check
 
 
@@ -142,7 +141,7 @@ def verify(program: Dfa, dep, config: VerifyConfig | None = None):
                    "strategy": str(cfg.strategy), "orders": cfg.orders.kind}
     if cfg.use_antichain:
         # present even when the first check times out
-        stats["check"] = ac.Stats().as_dict()
+        stats["check"] = dict(ac.Stats().as_dict(), api_rows=0)
     deadline = time.monotonic() + cfg.timeout
     strategy = cfg.strategy
     fell_back = False
@@ -155,7 +154,7 @@ def verify(program: Dfa, dep, config: VerifyConfig | None = None):
         solver = proofdb.SolverClient(cfg.solver_command)
         builder = proofdb.ProofNfaBuilder(program.alphabet, solver, cache,
                                           deadline)
-        check = _checker(program, dep, cfg, program.live_states(), deadline)
+        check = _checker(program, dep, cfg, deadline)
         for number in range(1, MAX_ROUNDS + 1):
             if time.monotonic() > deadline:
                 return Unknown("timeout", rounds, stats)

@@ -21,10 +21,10 @@ from fractions import Fraction
 from math import lcm
 
 from . import exprs, lia
-from .antichain import check_deadline
 from .automata import Nfa
 from .exprs import FALSE, TRUE
 from .frontend import Stmt
+from .limits import check_deadline
 
 
 class SolverError(Exception):
@@ -146,18 +146,23 @@ class SolverClient:
 
     BATCH = 400
 
-    def check_sat_batch(self, queries) -> list:
+    def check_sat_batch(self, queries, deadline: float | None = None) -> list:
         """Satisfiability of many conjunctions (no models), pipelined when a
         child process answers.
 
         queries: list of formula lists; returns 'sat'/'unsat' per entry.
+        They go in chunks of BATCH; between chunks, a passed deadline raises
+        ResourceLimit('timeout').
         """
-        self.num_queries += len(queries)
-        if self.proc is None:
-            return [self._solve(formulas)[0] for formulas in queries]
         out = []
         for lo in range(0, len(queries), self.BATCH):
+            if lo:
+                check_deadline(deadline)
             chunk = queries[lo: lo + self.BATCH]
+            self.num_queries += len(chunk)
+            if self.proc is None:
+                out.extend(self._solve(formulas)[0] for formulas in chunk)
+                continue
             lines = []
             for formulas in chunk:
                 lines.append("(push 1)")
@@ -279,10 +284,9 @@ def hoare_verdicts(triples, solver: SolverClient,
                    cache: EntailmentCache | None = None,
                    deadline: float | None = None) -> list[bool]:
     """Validity of each Hoare triple (pre, stmt, post): the one place that
-    decides triples, by the cache, then syntactic_verdict, then solver
-    batches of SolverClient.BATCH for the triples still open.  New verdicts
-    go into the cache.  Between batches, a passed deadline raises
-    ResourceLimit('timeout')."""
+    decides triples, by the cache, then syntactic_verdict, then one solver
+    batch for the triples still open.  New verdicts go into the cache.
+    deadline is passed on to SolverClient.check_sat_batch."""
     cache = cache if cache is not None else EntailmentCache()
     out: list = []
     wps: dict = {}                 # (stmt id, post) -> [wp, negated wp]
@@ -304,14 +308,10 @@ def hoare_verdicts(triples, solver: SolverClient,
             else:
                 cache.put(key, verdict)
         out.append(verdict)
-    for lo in range(0, len(queries), SolverClient.BATCH):
-        if lo:
-            check_deadline(deadline)
-        hi = lo + SolverClient.BATCH
-        for (k, key), res in zip(pending[lo:hi],
-                                 solver.check_sat_batch(queries[lo:hi])):
-            out[k] = res == "unsat"
-            cache.put(key, out[k])
+    for (k, key), res in zip(pending,
+                             solver.check_sat_batch(queries, deadline)):
+        out[k] = res == "unsat"
+        cache.put(key, out[k])
     return out
 
 

@@ -52,13 +52,17 @@ def test_lazy_dfa_fully_expanded_equals_determinize():
         nfa = random_nfa(rng, rng.randint(1, 6), alphabet)
         lazy = LazyDfa(nfa, alphabet)
         assert lazy.rows_built == 0
-        delta, top = [], 0
-        while len(delta) <= top:
-            delta.append(lazy.row(len(delta)))
-            top = max(top, *delta[-1])
-        assert lazy.rows_built == len(delta)
-        assert lazy.row(0) is delta[0]  # a row is built once
-        finals = frozenset(q for q in range(len(delta)) if lazy.is_final(q))
+        # expand in a random demand order, not the numbering order
+        rows, todo = {}, [lazy.initial]
+        while todo:
+            q = todo.pop(rng.randrange(len(todo)))
+            if q not in rows:
+                rows[q] = lazy.row(q)
+                todo.extend(rows[q])
+        assert lazy.rows_built == len(rows) == lazy.n
+        assert lazy.row(0) is rows[0]  # a row is built once
+        delta = [rows[q] for q in range(lazy.n)]
+        finals = frozenset(q for q in range(lazy.n) if lazy.is_final(q))
         full = Dfa(alphabet, delta, lazy.initial, finals)
         check_wellformed(full)
         assert equivalent(full, determinize(nfa, alphabet))

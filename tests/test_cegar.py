@@ -330,7 +330,8 @@ def test_lying_loop_solver_fails_revalidation(monkeypatch):
         real_init(self, *args, **kwargs)
         if not made:
             self.check_sat = lambda formulas, get_model=False: ("unsat", None)
-            self.check_sat_batch = lambda queries: ["unsat"] * len(queries)
+            self.check_sat_batch = (lambda queries, deadline=None:
+                                    ["unsat"] * len(queries))
         made.append(self)
     monkeypatch.setattr(proofdb.SolverClient, "__init__", init)
     dfa, dep, _ = load_program(SIMPLEINC)

@@ -4,10 +4,10 @@ import time
 import pytest
 
 from hyperweave import exprs, proofdb
-from hyperweave.antichain import ResourceLimit
 from hyperweave.automata import determinize
 from hyperweave.exprs import FALSE, TRUE, atom_from_cmp, num, var
 from hyperweave.frontend import load_program
+from hyperweave.limits import ResourceLimit
 
 
 def cmp(op, l, r):
@@ -62,17 +62,13 @@ def test_hoare_verdicts_stop_between_batches_at_the_deadline():
     _, trace = single_trace("var x, y; x := x + y; assume(y > 0); y := 0;", 3)
     bounds = [cmp("<=", var("x"), num(i)) for i in range(25)]
     triples = [(pre, trace[0], post) for pre in bounds for post in bounds]
-    batches = []
-
-    class Solver:
-        def check_sat_batch(self, queries):
-            batches.append(len(queries))
-            return ["sat"] * len(queries)
+    solver = proofdb.SolverClient(None)
     with pytest.raises(ResourceLimit, match="timeout"):
-        proofdb.hoare_verdicts(triples, Solver(),
-                               deadline=time.monotonic() - 1)
-    assert batches == [proofdb.SolverClient.BATCH]
-    assert proofdb.hoare_verdicts(triples, Solver()) == [False] * len(triples)
+        proofdb.hoare_verdicts(triples, solver, deadline=time.monotonic() - 1)
+    assert solver.num_queries == proofdb.SolverClient.BATCH
+    verdicts = proofdb.hoare_verdicts(triples, solver)
+    assert solver.num_queries > 2 * proofdb.SolverClient.BATCH
+    assert verdicts == [proofdb.hoare_valid(*t, solver, None) for t in triples]
 
 
 def test_proof_nfa_trivial_pi(solver):
