@@ -7,6 +7,14 @@ by its maximal elements (an antichain of bitmasks).  The fixpoint is computed
 lazily cell by cell with dependency tracking; witnesses are reconstructed on
 demand from per-element insertion ranks rather than stored per order.
 
+A cell's first evaluation materializes its live children and registers it
+as their parent; later evaluations only read the children's values.  A
+cell's value is a pure function of its children's antichains, so the
+survivor computation goes through a SurvivorMemo: antichains are interned
+as small ints, a cell is keyed by its (letter, antichain id) pairs, and one
+memo serves every check of a refinement loop.  joins/meets count the
+computations actually made; memo_hits counts the ones answered by the memo.
+
 The proof side is read only through ``row(q)`` and ``is_final(q)``, so it may
 be a LazyDfa whose subset construction is expanded just for the macro-states
 that live cells reach.  A cell whose program state cannot reach a final
@@ -90,11 +98,13 @@ class Stats:
     meets: int = 0
     peak_width: int = 0
     births: int = 0
+    memo_hits: int = 0
 
     def as_dict(self) -> dict:
         return dict(cells=self.cells, fmax_calls=self.fmax_calls,
                     joins=self.joins, meets=self.meets,
-                    peak_width=self.peak_width, births=self.births)
+                    peak_width=self.peak_width, births=self.births,
+                    memo_hits=self.memo_hits)
 
 
 # ------------------------------------------------------------- fmax steps
@@ -190,6 +200,43 @@ def _partition_survivors(children, dmasks, full: int, stats,
     return result
 
 
+# -------------------------------------------------------------------- memo
+
+class SurvivorMemo:
+    """Cell values by children, shared by the checks of one program.
+
+    Antichains are interned as ids in list order, not as sets: the order
+    drives the survivor search and the birth numbering, so an equal set in
+    another order is another id.  Id 0 is the empty antichain.  A key is
+    the tuple of id * k + letter over a cell's non-empty children, in
+    letter order; table maps it to the id of the cell's value.  The memo is
+    bound to the first engine's (k, dependence masks, order family) and
+    refuses any other.
+    """
+
+    def __init__(self):
+        self.binding = None
+        self.values: list = [()]          # id -> antichain tuple
+        self._ids: dict = {(): 0}
+        self.table: dict = {}
+
+    def bind(self, k: int, dmasks, kind: str):
+        binding = (k, tuple(dmasks), kind)
+        if self.binding is None:
+            self.binding = binding
+        elif binding != self.binding:
+            raise ValueError("survivor memo bound to another alphabet, "
+                             "dependence relation or order family")
+
+    def intern(self, value) -> int:
+        value = tuple(value)
+        vid = self._ids.get(value)
+        if vid is None:
+            vid = self._ids[value] = len(self.values)
+            self.values.append(value)
+        return vid
+
+
 # ------------------------------------------------------------------ engine
 
 @dataclass
@@ -203,11 +250,15 @@ class CheckEngine:
     """The fixpoint over cells (program state, proof state).
 
     api is a Dfa or LazyDfa over ap's alphabet in the same order; run()
-    gives up with ResourceLimit('timeout') after deadline.
+    gives up with ResourceLimit('timeout') after deadline.  memo may carry
+    cell values over from earlier checks of the same program (default: a
+    fresh one).  cells maps a cell to the memo id of its value, None until
+    its first evaluation.
     """
 
     def __init__(self, ap: Dfa, api, dep, orders: OrderSource,
-                 deadline: float | None = None):
+                 deadline: float | None = None,
+                 memo: SurvivorMemo | None = None):
         if tuple(api.alphabet) != tuple(ap.alphabet):
             raise AlphabetError("proof alphabet order differs from the program's")
         self.ap = ap
@@ -220,6 +271,12 @@ class CheckEngine:
         self.orders = orders
         self.partition = orders.kind == "partition"
         self.relations = None if self.partition else orders.relations(self.k)
+        self.memo = SurvivorMemo() if memo is None else memo
+        self.memo.bind(self.k, self.dmasks, orders.kind)
+        self._leaf = self.memo.intern((self.full,))
+        # per program state: the letters leading to a live state
+        self._live_letters = [tuple(a for a, q in enumerate(row)
+                                    if q in self.live) for row in ap.delta]
         self.cells: dict = {}
         self.archive: dict = {}
         self.rdeps: dict = {}
@@ -232,7 +289,7 @@ class CheckEngine:
         if cell not in self.cells:
             if len(self.cells) >= MAX_CELLS:
                 raise ResourceLimit("antichain fixpoint exceeded cell cap")
-            self.cells[cell] = []
+            self.cells[cell] = None
             self.archive[cell] = []
             self.rdeps[cell] = set()
             self.stats.cells += 1
@@ -243,29 +300,47 @@ class CheckEngine:
             self._queued.add(cell)
             self._queue.append(cell)
 
-    def _fmax(self, cell) -> list:
+    def _fmax(self, cell) -> int:
+        """The memo id of cell's next value."""
         qp, qpi = cell
-        self.stats.fmax_calls += 1
-        if self.stats.fmax_calls & 1023 == 0:
+        stats = self.stats
+        stats.fmax_calls += 1
+        if stats.fmax_calls & 1023 == 0:
             check_deadline(self.deadline)
         if qp in self.ap.finals and not self.api.is_final(qpi):
-            return [self.full]
+            return self._leaf
         rowp, rowpi = self.ap.delta[qp], self.api.row(qpi)
-        live = self.live
-        children = []
-        for a in range(self.k):
-            if rowp[a] not in live:
-                children.append([])
-                continue
-            child = (rowp[a], rowpi[a])
-            self._materialize(child)
-            self.rdeps[child].add(cell)
-            children.append(self.cells[child])
+        letters = self._live_letters[qp]
+        cells = self.cells
+        if cells[cell] is None:        # first evaluation: wire the children
+            cells[cell] = 0
+            for a in letters:
+                child = (rowp[a], rowpi[a])
+                self._materialize(child)
+                self.rdeps[child].add(cell)
+        k = self.k
+        key = []
+        for a in letters:
+            vid = cells[(rowp[a], rowpi[a])]
+            if vid:
+                key.append(vid * k + a)
+        key = tuple(key)
+        memo = self.memo
+        hit = memo.table.get(key)
+        if hit is not None:
+            stats.memo_hits += 1
+            return hit
+        children = [()] * k
+        for n in key:
+            children[n % k] = memo.values[n // k]
         if self.partition:
-            return _partition_survivors(children, self.dmasks, self.full,
-                                        self.stats)
-        return _meet_over_orders(children, self.dmasks, self.relations,
-                                 self.full, self.stats)
+            value = _partition_survivors(children, self.dmasks, self.full,
+                                         stats)
+        else:
+            value = _meet_over_orders(children, self.dmasks, self.relations,
+                                      self.full, stats)
+        memo.table[key] = vid = memo.intern(value)
+        return vid
 
     def run(self) -> bool:
         """Compute the fixpoint; True iff the initial state stays active."""
@@ -273,11 +348,15 @@ class CheckEngine:
         if init[0] not in self.live:
             return True
         self._materialize(init)
+        values = self.memo.values
         while self._queue:
             cell = self._queue.popleft()
             self._queued.discard(cell)
-            new = self._fmax(cell)
-            old = self.cells[cell]
+            new_id = self._fmax(cell)
+            old_id = self.cells[cell] or 0
+            if new_id == old_id:
+                continue
+            old, new = values[old_id], values[new_id]
             if _antichain_eq(old, new):
                 continue
             if not all(ac_covers(new, m) for m in old):
@@ -287,7 +366,7 @@ class CheckEngine:
             for m in fresh:
                 self._births += 1
                 arch.append((m, self._births))
-            self.cells[cell] = new
+            self.cells[cell] = new_id
             self.stats.peak_width = max(self.stats.peak_width, len(new))
             for dep_cell in self.rdeps.get(cell, ()):
                 self._enqueue(dep_cell)
@@ -308,15 +387,16 @@ class CheckEngine:
 
 
 def check(ap: Dfa, api, dep, orders: OrderSource, thin: bool = False,
-          deadline: float | None = None) -> CheckResult:
+          deadline: float | None = None,
+          memo: SurvivorMemo | None = None) -> CheckResult:
     """Does some reduction of L(ap) lie inside L(api)?
 
     Covered (covered=True) iff the intersection LTA's initial state is
     active, i.e. the fixpoint antichain at the initial cell is empty.
     thin selects the thinned counterexample forest (bounded strategies);
-    api and deadline are as for CheckEngine.
+    api, deadline and memo are as for CheckEngine.
     """
-    engine = CheckEngine(ap, api, dep, orders, deadline)
+    engine = CheckEngine(ap, api, dep, orders, deadline, memo)
     covered = engine.run()
     forest = None if covered else CexForest(engine, thin=thin)
     return CheckResult(covered, forest, engine.stats)

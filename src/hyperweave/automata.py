@@ -13,6 +13,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
+from .limits import check_deadline
+
 
 class AlphabetError(Exception):
     pass
@@ -115,14 +117,17 @@ def check_wellformed(dfa: Dfa):
         assert all(0 <= t < dfa.n for t in row)
 
 
-def determinize(nfa: Nfa, alphabet=None) -> Dfa:
+def determinize(nfa: Nfa, alphabet=None, deadline: float | None = None) -> Dfa:
     """Subset construction; the empty macro-state is the completing sink.
 
-    Expands a LazyDfa fully, in the order its states are numbered.
+    Expands a LazyDfa fully, in the order its states are numbered; gives up
+    with ResourceLimit('timeout') past deadline.
     """
     lazy = LazyDfa(nfa, alphabet)
     delta = []
     while len(delta) < lazy.n:
+        if len(delta) & 1023 == 1023:
+            check_deadline(deadline)
         delta.append(lazy.row(len(delta)))
     finals = frozenset(q for q in range(lazy.n) if lazy.is_final(q))
     return Dfa(lazy.alphabet, delta, lazy.initial, finals)

@@ -39,6 +39,10 @@ class RoundRecord:
     fmax_calls: int = 0
     births: int = 0
     api_rows: int = 0              # proof-DFA rows the check built
+    memo_hits: int = 0
+    # the round's queries to the loop's solver, and entailment-cache hits
+    solver_queries: int = 0
+    cache_hits: int = 0
 
     def as_dict(self) -> dict:
         return dict(round=self.number,
@@ -48,7 +52,10 @@ class RoundRecord:
                     construction_time=self.construction_time,
                     checking_time=self.checking_time,
                     cells=self.cells, fmax_calls=self.fmax_calls,
-                    births=self.births, api_rows=self.api_rows)
+                    births=self.births, api_rows=self.api_rows,
+                    memo_hits=self.memo_hits,
+                    solver_queries=self.solver_queries,
+                    cache_hits=self.cache_hits)
 
 
 @dataclass
@@ -95,16 +102,20 @@ class VerifyConfig:
 
 
 class _BaselineChecker:
-    """Explicit-LTA emptiness; the --antichain off engine."""
+    """Explicit-LTA emptiness; the --antichain off engine.  Its
+    constructions give up with ResourceLimit('timeout') past deadline."""
 
-    def __init__(self, program: Dfa, dep, orders: OrderSource):
+    def __init__(self, program: Dfa, dep, orders: OrderSource, deadline):
         self.alphabet = program.alphabet
-        self.reduce_lta = sleep_reduction_lta(program, dep, orders)
+        self.deadline = deadline
+        self.reduce_lta = sleep_reduction_lta(program, dep, orders,
+                                              deadline=deadline)
 
     def check(self, nfa):
-        api = determinize(nfa, self.alphabet)
-        m = ltamod.lta_intersect(self.reduce_lta, ltamod.lta_powerset(api))
-        inact = ltamod.inactive_baseline(m)
+        api = determinize(nfa, self.alphabet, self.deadline)
+        m = ltamod.lta_intersect(self.reduce_lta, ltamod.lta_powerset(api),
+                                 self.deadline)
+        inact = ltamod.inactive_baseline(m, self.deadline)
         covered = m.initial not in inact.inactive
         forest = None if covered else ltamod.build_counterexample_tree(m, inact)
         return covered, forest, None
@@ -115,22 +126,27 @@ def _checker(program: Dfa, dep, cfg: VerifyConfig, deadline):
 
     stats is the antichain engine's counter dict, with the number of rows
     of the lazy proof DFA it built (api_rows), None for the baseline.  The
-    antichain check gives up at deadline.
+    antichain checks share one SurvivorMemo, made here: a checker's calls
+    reuse each other's cell values, and a second checker reuses nothing.
+    Both engines give up at deadline.
     """
     if not cfg.use_antichain:
-        return _BaselineChecker(program, dep, cfg.orders).check
+        return _BaselineChecker(program, dep, cfg.orders, deadline).check
     thin = cfg.orders.kind == "partition" and cfg.strategy.kind == "bpe"
+    memo = ac.SurvivorMemo()
 
     def check(nfa):
         api = LazyDfa(nfa, program.alphabet)
-        result = ac.check(program, api, dep, cfg.orders, thin, deadline)
+        result = ac.check(program, api, dep, cfg.orders, thin, deadline,
+                          memo)
         return (result.covered, result.forest,
                 dict(result.stats.as_dict(), api_rows=api.rows_built))
     return check
 
 
 # RoundRecord fields taken from the antichain check's stats
-_ROUND_COUNTERS = ("cells", "fmax_calls", "births", "api_rows")
+_ROUND_COUNTERS = ("cells", "fmax_calls", "births", "api_rows",
+                   "memo_hits")
 
 
 def verify(program: Dfa, dep, config: VerifyConfig | None = None):
@@ -159,6 +175,7 @@ def verify(program: Dfa, dep, config: VerifyConfig | None = None):
             if time.monotonic() > deadline:
                 return Unknown("timeout", rounds, stats)
 
+            queries0, hits0 = solver.num_queries, cache.hits
             t0 = time.monotonic()
             nfa = builder.extend(proof)
             t_build = time.monotonic() - t0
@@ -174,11 +191,13 @@ def verify(program: Dfa, dep, config: VerifyConfig | None = None):
             def record(words, new_assertions):
                 rounds.append(RoundRecord(
                     number, list(words), [fmt(f) for f in new_assertions],
-                    len(proof), t_build, t_check, **counters))
+                    len(proof), t_build, t_check, **counters,
+                    solver_queries=solver.num_queries - queries0,
+                    cache_hits=cache.hits - hits0))
 
             if covered:
                 record([], [])
-                if not _revalidate(program, cfg, proof, builder.edges, check,
+                if not _revalidate(program, dep, cfg, proof, builder.edges,
                                    deadline):
                     return Unknown("revalidation failed", rounds, stats)
                 return Safe(list(proof), rounds, stats)
@@ -245,13 +264,13 @@ def verify(program: Dfa, dep, config: VerifyConfig | None = None):
             solver.close()
 
 
-def _revalidate(program: Dfa, cfg: VerifyConfig, proof, edges, check,
+def _revalidate(program: Dfa, dep, cfg: VerifyConfig, proof, edges,
                 deadline) -> bool:
     """Independent re-check of the proof by its edges: a fresh solver, with
-    no shared cache, re-proves each edge, and a fresh fixpoint (check, from
-    _checker, builds one per call) must find the NFA of the confirmed edges
-    covering (a missing edge only shrinks it).  Past the deadline it raises
-    ResourceLimit('timeout')."""
+    no shared cache, re-proves each edge, and a fresh checker (with its own
+    memo: nothing the loop's checks computed) must find the NFA of the
+    confirmed edges covering (a missing edge only shrinks it).  Past the
+    deadline it raises ResourceLimit('timeout')."""
     edges = sorted(edges)
     fs, stmts = proof.assertions, {s.id: s for s in program.alphabet}
     triples = [(fs[i], stmts[sid], fs[j]) for i, sid, j in edges]
@@ -263,7 +282,7 @@ def _revalidate(program: Dfa, cfg: VerifyConfig, proof, edges, check,
         return False
     nfa = proofdb.proof_nfa(proof, program.alphabet,
                             [e for e, valid in zip(edges, verdicts) if valid])
-    return check(nfa)[0]
+    return _checker(program, dep, cfg, deadline)(nfa)[0]
 
 
 def progress_audit(rounds) -> bool:

@@ -17,6 +17,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .automata import Dfa
+from .limits import check_deadline
 
 
 class BrokenInvariant(Exception):
@@ -62,8 +63,10 @@ class _Builder:
                    self.labels)
 
 
-def lta_intersect(m1: Lta, m2: Lta) -> Lta:
-    """Product accepting L(m1) & L(m2); boolean labels must agree pairwise."""
+def lta_intersect(m1: Lta, m2: Lta, deadline: float | None = None) -> Lta:
+    """Product accepting L(m1) & L(m2); boolean labels must agree pairwise.
+
+    Gives up with ResourceLimit('timeout') past deadline."""
     if m1.alphabet != m2.alphabet:
         raise ValueError("alphabet mismatch")
     b = _Builder(m1.alphabet)
@@ -71,11 +74,15 @@ def lta_intersect(m1: Lta, m2: Lta) -> Lta:
     root = (m1.initial, m2.initial)
     queue = deque([root])
     seen = {root}
+    steps = 0
     while queue:
         q1, q2 = queue.popleft()
         q = b.state((q1, q2))
         for b1, s1 in m1.transitions[q1]:
             for b2, s2 in m2.transitions[q2]:
+                steps += 1
+                if steps & 1023 == 0:
+                    check_deadline(deadline)
                 if b1 != b2:
                     continue
                 succ = []
@@ -117,8 +124,10 @@ class InactiveSet:
     order: dict                   # state -> inactivation sequence number
 
 
-def inactive_baseline(m: Lta) -> InactiveSet:
-    """Least fixpoint of the inactive-states rule, with witness recording."""
+def inactive_baseline(m: Lta, deadline: float | None = None) -> InactiveSet:
+    """Least fixpoint of the inactive-states rule, with witness recording.
+
+    Gives up with ResourceLimit('timeout') past deadline."""
     remaining = []
     for q in range(m.n):
         remaining.append(len(m.transitions[q]))
@@ -126,8 +135,12 @@ def inactive_baseline(m: Lta) -> InactiveSet:
     # (owner, trans_idx, target) so recorded witnesses use the lowest id
     k = len(m.alphabet)
     incoming: dict[int, list] = {}
+    steps = 0
     for q in range(m.n):
         for ti, (_, succ) in enumerate(m.transitions[q]):
+            steps += 1
+            if steps & 1023 == 0:
+                check_deadline(deadline)
             best: dict[int, int] = {}
             for a in range(k - 1, -1, -1):
                 best[succ[a]] = a
@@ -145,6 +158,9 @@ def inactive_baseline(m: Lta) -> InactiveSet:
             queue.append(q)
     while queue:
         s = queue.popleft()
+        steps += 1
+        if steps & 1023 == 0:
+            check_deadline(deadline)
         for (q, ti, a) in incoming.get(s, ()):
             if q in inactive or (q, ti) in witness:
                 continue

@@ -11,6 +11,7 @@ import itertools
 from dataclasses import dataclass
 
 from .automata import Dfa
+from .limits import check_deadline
 from .lta import Lta, _Builder
 
 
@@ -34,7 +35,9 @@ class OrderSource:
 
     kind: str  # 'linear' | 'partition'
 
-    def relations(self, k: int) -> tuple:
+    def relations(self, k: int, deadline: float | None = None) -> tuple:
+        """Every relation of the family over k letters; gives up with
+        ResourceLimit('timeout') past deadline."""
         if self.kind == "linear":
             if k > MAX_LINEAR_ALPHABET:
                 raise ReductionTooLarge(
@@ -42,6 +45,8 @@ class OrderSource:
                     "or enable atomic blocks")
             rels = []
             for perm in itertools.permutations(range(k)):
+                if len(rels) & 1023 == 1023:
+                    check_deadline(deadline)
                 r = [0] * k
                 seen = 0
                 for a in perm:
@@ -52,6 +57,8 @@ class OrderSource:
         if self.kind == "partition":
             rels = set()
             for sigma2 in range(1 << k):
+                if sigma2 & 1023 == 1023:
+                    check_deadline(deadline)
                 rels.add(tuple(0 if sigma2 >> a & 1 else sigma2
                                for a in range(k)))
             return tuple(sorted(rels))
@@ -69,18 +76,21 @@ def sleep_step(s: int, r, a: int, dep) -> int:
 
 
 def sleep_reduction_lta(p: Dfa, dep, orders: OrderSource = LINEAR,
-                        max_states: int = 500000) -> Lta:
+                        max_states: int = 500000,
+                        deadline: float | None = None) -> Lta:
     """LTA over (program state, ignored flag, sleep set) accepting reductions.
 
     Only the fragment reachable from (initial, false, empty) is materialized.
+    Gives up with ResourceLimit('timeout') past deadline.
     """
     k = len(p.alphabet)
     dmasks = _dep_masks(dep, k)
-    rels = orders.relations(k)
+    rels = orders.relations(k, deadline)
     b = _Builder(p.alphabet)
     root = (p.initial, False, 0)
     queue = [root]
     seen = {root}
+    steps = 0
     while queue:
         key = queue.pop()
         q, iota, s = key
@@ -89,6 +99,9 @@ def sleep_reduction_lta(p: Dfa, dep, orders: OrderSource = LINEAR,
         row = p.delta[q]
         trans = set()
         for r in rels:
+            steps += 1
+            if steps & 1023 == 0:
+                check_deadline(deadline)
             succ = []
             for a in range(k):
                 nxt = (row[a], iota or bool(s >> a & 1),

@@ -179,6 +179,69 @@ def test_check_equals_baseline_on_random_instances():
     assert outcomes == {True, False}
 
 
+def _engine_outcome(ap, nfa, dep, orders, memo):
+    res = check(ap, LazyDfa(nfa, ap.alphabet), dep, orders, memo=memo)
+    leaves = None if res.covered else ac.all_leaf_strings(res.forest)
+    s = res.stats
+    return (res.covered, leaves, s.cells, s.fmax_calls, s.births), s.memo_hits
+
+
+def test_shared_memo_equals_fresh_memo_and_baseline():
+    # one program against a sequence of proofs, as in a refinement loop:
+    # a memo shared by every check changes no outcome and no counter but
+    # the work counters
+    rng = random.Random(17)
+    shared_hits = fresh_hits = 0
+    for orders in (LINEAR, PARTITION):
+        for _ in range(30):
+            k = rng.randint(1, 3)
+            alphabet = tuple(range(k))
+            ap = random_dfa(rng, 6, k)
+            dep = random_dep(rng, k)
+            shared = ac.SurvivorMemo()
+            for _ in range(6):
+                nfa = random_nfa(rng, rng.randint(1, 4), alphabet)
+                got, hits = _engine_outcome(ap, nfa, dep, orders, shared)
+                shared_hits += hits
+                want, hits = _engine_outcome(ap, nfa, dep, orders, None)
+                fresh_hits += hits
+                assert got == want
+                m = lta_intersect(sleep_reduction_lta(ap, dep, orders),
+                                  lta_powerset(determinize(nfa, alphabet)))
+                assert got[0] == (not is_empty(m))
+    assert shared_hits > fresh_hits
+
+
+def test_memo_hits_replace_computation():
+    rng = random.Random(5)
+    k = 3
+    ap = random_dfa(rng, 6, k)
+    dep = random_dep(rng, k)
+    nfa = random_nfa(rng, 3, tuple(range(k)))
+    memo = ac.SurvivorMemo()
+    first = check(ap, LazyDfa(nfa, ap.alphabet), dep, LINEAR, memo=memo)
+    entries = len(memo.table)
+    again = check(ap, LazyDfa(nfa, ap.alphabet), dep, LINEAR, memo=memo)
+    # the second check evaluates the same cells and computes none of them
+    assert again.stats.fmax_calls == first.stats.fmax_calls
+    assert first.stats.joins > 0 and first.stats.meets > 0
+    assert again.stats.joins == again.stats.meets == 0
+    assert again.stats.memo_hits > first.stats.memo_hits
+    assert len(memo.table) == entries
+
+
+def test_memo_refuses_another_binding():
+    ap = Dfa((0, 1), [[0, 0]], 0, frozenset({0}))
+    api = Dfa((0, 1), [[0, 0]], 0, frozenset())
+    memo = ac.SurvivorMemo()
+    check(ap, api, (0b01, 0b10), PARTITION, memo=memo)
+    check(ap, api, (0b01, 0b10), PARTITION, memo=memo)
+    with pytest.raises(ValueError, match="memo"):
+        check(ap, api, (0b11, 0b11), PARTITION, memo=memo)
+    with pytest.raises(ValueError, match="memo"):
+        check(ap, api, (0b01, 0b10), LINEAR, memo=memo)
+
+
 def _reachable(dfa) -> set:
     seen, todo = {dfa.initial}, [dfa.initial]
     while todo:

@@ -57,8 +57,51 @@ def test_round_records_carry_check_counters():
     assert all(rec.cells == rec.api_rows == 0 for rec in base.rounds)
 
 
+def test_round_counters_add_up_to_the_run():
+    dfa, dep, _ = load_program(SIMPLEINC)
+    for cfg in (VerifyConfig(timeout=60),
+                VerifyConfig(use_antichain=False, timeout=60)):
+        v = verify(dfa, dep, cfg)
+        assert v.verdict == "safe"
+        assert sum(r.solver_queries for r in v.rounds) == \
+            v.stats["solver_queries"] > 0
+        assert sum(r.cache_hits for r in v.rounds) == v.stats["cache_hits"]
+        assert {"solver_queries", "cache_hits",
+                "memo_hits"} <= set(v.rounds[0].as_dict())
+    assert v.rounds[0].memo_hits == 0        # the baseline has no memo
+    dfa, dep, _ = load_program(UNSAFE)
+    v = verify(dfa, dep, VerifyConfig(timeout=60))
+    assert v.verdict == "unsafe"
+    assert sum(r.solver_queries for r in v.rounds) == v.stats["solver_queries"]
+
+
+def test_loop_checks_share_one_memo_and_revalidation_gets_its_own(
+        monkeypatch):
+    memos = []
+    real = ac.check
+
+    def check(*args, **kwargs):
+        memos.append(kwargs.get("memo", args[6] if len(args) > 6 else None))
+        return real(*args, **kwargs)
+    monkeypatch.setattr(ac, "check", check)
+    dfa, dep, _ = load_program(SIMPLEINC)
+    v = verify(dfa, dep, VerifyConfig(timeout=60))
+    assert v.verdict == "safe"
+    assert len(memos) == len(v.rounds) + 1    # the last check revalidates
+    *loop, revalidation = memos
+    assert all(m is loop[0] for m in loop)
+    assert isinstance(revalidation, ac.SurvivorMemo)
+    assert revalidation is not loop[0]
+    assert v.rounds[-1].memo_hits > 0
+
+
 FLIPPED = open(os.path.join(os.path.dirname(__file__), "..", "benchmarks",
                             "nonatomic", "mult_dist_flipped.imp")).read()
+NONATOMIC_MULT = open(os.path.join(os.path.dirname(__file__), "..",
+                                   "benchmarks", "nonatomic",
+                                   "mult_dist.imp")).read()
+STATS_KEYS = {"engine", "strategy", "orders", "proof_size", "rounds",
+              "cache_entries", "solver_queries", "cache_hits", "cache_misses"}
 
 
 @pytest.mark.parametrize("budget", [1.0, 3.0])
@@ -72,6 +115,30 @@ def test_deadline_overshoot_is_bounded(budget):
     assert {"engine", "strategy", "orders", "check", "proof_size", "rounds",
             "cache_entries", "solver_queries", "cache_hits",
             "cache_misses"} <= set(v.stats)
+    assert v.stats["rounds"] == len(v.rounds)
+
+
+def test_baseline_deadline_is_honoured():
+    # the explicit reduction LTA of a 19-letter program under partition
+    # orders takes far longer than the budget to build
+    budget = 2.0
+    dfa, dep, _ = load_program(NONATOMIC_MULT)
+    t0 = time.monotonic()
+    v = verify(dfa, dep, VerifyConfig(use_antichain=False, timeout=budget))
+    took = time.monotonic() - t0
+    assert (v.verdict, v.reason) == ("unknown", "timeout")
+    assert took <= 1.1 * budget + 1.0, took
+    assert STATS_KEYS <= set(v.stats)
+    assert v.stats["engine"] == "baseline"
+
+
+def test_pe_on_nonatomic_mult_dist_is_a_known_limit():
+    # pe enumerates the partition subsets of more than 14 enabled letters
+    dfa, dep, _ = load_program(NONATOMIC_MULT)
+    v = verify(dfa, dep, VerifyConfig(strategy=Strategy("pe"), timeout=60))
+    assert (v.verdict, v.reason) == (
+        "unknown", "too many partition subsets in witness search")
+    assert STATS_KEYS | {"check"} <= set(v.stats)
     assert v.stats["rounds"] == len(v.rounds)
 
 
@@ -265,8 +332,8 @@ def test_non_replaying_model_is_unknown_under_optimize():
 
 FLAT_ORDER = """
 real = lta.inactive_baseline
-def inactive_baseline(m):
-    inact = real(m)
+def inactive_baseline(m, deadline=None):
+    inact = real(m, deadline)
     inact.order = dict.fromkeys(inact.order, 0)
     return inact
 lta.inactive_baseline = inactive_baseline
