@@ -5,7 +5,9 @@ labels with Stmt objects (ordered by id), tests mostly use strings.  Every
 Dfa is total: a non-accepting sink completes the transition function.
 A LazyDfa is the subset construction of an Nfa built one row at a time; it
 and Dfa share the read interface ``alphabet``, ``initial``, ``row(q)`` and
-``is_final(q)``.
+``is_final(q)``.  A proof automaton is read only through that interface on
+a LazyDfa; the eager ``determinize`` is kept for the explicit-LTA baseline
+and for small explicit DFAs (program lowering, ``from_words``).
 """
 
 from __future__ import annotations
@@ -156,6 +158,7 @@ class LazyDfa:
         self._masks = [1 << nfa.initial]
         self._ids = {self._masks[0]: 0}
         self._rows: list = [None]
+        self._live = None        # mask of the NFA states reaching a final one
         self.rows_built = 0
 
     def _intern(self, mask: int) -> int:
@@ -188,6 +191,20 @@ class LazyDfa:
 
     def is_final(self, q: int) -> bool:
         return self._masks[q] & self._finals != 0
+
+    def is_live(self, q: int) -> bool:
+        """Whether a final macro-state is reachable from q: exactly when one
+        of q's NFA states reaches a final NFA state.  Expands no row."""
+        if self._live is None:
+            live, grown = 0, self._finals
+            while grown != live:
+                live = grown
+                for succ in self._succ:
+                    for p, mask in enumerate(succ):
+                        if mask & live:
+                            grown |= 1 << p
+            self._live = live
+        return self._masks[q] & self._live != 0
 
 
 def eliminate_epsilon(n: int, trans: dict, eps: dict, initial: int, finals: set, alphabet) -> Nfa:
@@ -246,40 +263,43 @@ def shuffle(a: Dfa, b: Dfa) -> Dfa:
     return Dfa(alphabet, delta, 0, finals)
 
 
-def reindex(dfa: Dfa, alphabet: tuple) -> Dfa:
-    """View dfa over the given alphabet ordering (same label set)."""
-    if set(alphabet) != set(dfa.alphabet) or len(alphabet) != len(dfa.alphabet):
-        raise AlphabetError("alphabet mismatch")
-    perm = [dfa.letter_index(label) for label in alphabet]
-    delta = [[row[j] for j in perm] for row in dfa.delta]
-    return Dfa(tuple(alphabet), delta, dfa.initial, dfa.finals)
-
-
-def first_difference_trace(p: Dfa, pi: Dfa):
+def first_difference_trace(p: Dfa, pi, deadline: float | None = None):
     """Length-lex least word in L(p) \\ L(pi), or None if inclusion holds.
 
-    Both automata must be complete over the same alphabet; ties within a
-    length are broken by alphabet (statement id) order.
+    p is a complete Dfa; pi is read only through ``row``/``is_final``, so it
+    may be a Dfa or a LazyDfa.  Both must have the same alphabet in the same
+    order (else AlphabetError); ties within a length are broken by that
+    order.  Pairs whose p state reaches no final state are skipped: every
+    prefix of the least difference word ends in a live p state, so the
+    answer is unchanged, and pi's rows below p's dead states are never read.
+    Gives up with ResourceLimit('timeout') past deadline.
     """
-    pi = reindex(pi, p.alphabet)
+    if tuple(pi.alphabet) != tuple(p.alphabet):
+        raise AlphabetError("alphabet order differs")
+    live = p.live_states()
     start = (p.initial, pi.initial)
     seen = {start}
     queue = deque([(start, ())])
+    visited = 0
     while queue:
+        visited += 1
+        if visited & 1023 == 0:
+            check_deadline(deadline)
         (qp, qi), word = queue.popleft()
-        if qp in p.finals and qi not in pi.finals:
+        if qp in p.finals and not pi.is_final(qi):
             return list(word)
-        for j in range(len(p.alphabet)):
-            nxt = (p.delta[qp][j], pi.delta[qi][j])
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append((nxt, word + (p.alphabet[j],)))
+        for label, tp, ti in zip(p.alphabet, p.delta[qp], pi.row(qi)):
+            if tp in live and (tp, ti) not in seen:
+                seen.add((tp, ti))
+                queue.append(((tp, ti), word + (label,)))
     return None
 
 
 def equivalent(a: Dfa, b: Dfa) -> bool:
-    """Language equality of two complete DFAs over the same label set."""
-    b = reindex(b, a.alphabet)
+    """Language equality of two complete DFAs over the same alphabet in the
+    same order (else AlphabetError)."""
+    if tuple(a.alphabet) != tuple(b.alphabet):
+        raise AlphabetError("alphabet order differs")
     start = (a.initial, b.initial)
     seen = {start}
     queue = deque([start])

@@ -3,13 +3,14 @@
 Each round: build the proof NFA from the current assertion set (incremental,
 cache-backed) and ask the checker whether some sleep-set reduction of the
 program is covered.  There is no separate determinize step: the antichain
-checker reads the proof NFA through a LazyDfa (only the explicit-LTA
-baseline and the naive strategy determinize eagerly).  Covered means safe
+checker and the naive strategy read the proof NFA through a LazyDfa (only
+the explicit-LTA baseline determinizes eagerly).  Covered means safe
 once a fresh solver re-proves the proof automaton's edges and a fresh
 fixpoint agrees; otherwise the chosen strategy extracts counterexample traces
 from the inactivity proof, feasible traces are real violations, and
 infeasible ones are interpolated.  The run's deadline also reaches the
-check, the Hoare-triple batches and revalidation.
+check, the naive difference search, the Hoare-triple batches and
+revalidation.
 """
 
 from __future__ import annotations
@@ -204,7 +205,7 @@ def verify(program: Dfa, dep, config: VerifyConfig | None = None):
 
             if strategy.kind == "naive":
                 word = first_difference_trace(
-                    program, determinize(nfa, program.alphabet))
+                    program, LazyDfa(nfa, program.alphabet), deadline)
                 if word is None:
                     return Unknown("naive strategy found no difference trace",
                                    rounds, stats)

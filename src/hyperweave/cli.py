@@ -15,7 +15,7 @@ import time
 
 from . import cegar, exprs, proofdb
 from .antichain import Strategy
-from .automata import determinize
+from .automata import LazyDfa
 from .frontend import ParseError, compute_dependence, load_program
 from .reduction import LINEAR, PARTITION, OrderSource
 
@@ -43,14 +43,16 @@ def formula_from_json(obj):
     return (tag, tuple(formula_from_json(g) for g in obj[1]))
 
 
-def _build_config(args) -> cegar.VerifyConfig:
+def _build_config(options: dict) -> cegar.VerifyConfig:
+    """The VerifyConfig named by option strings, keyed as in a .expect file
+    and as verify's flags; an absent key takes the .expect default."""
     return cegar.VerifyConfig(
-        strategy=Strategy.parse(args.strategy),
-        orders=LINEAR if args.orders == "linear" else PARTITION,
-        use_antichain=args.antichain == "on",
-        solver_command=args.solver,
-        timeout=args.timeout,
-        interpolation=args.interpolation,
+        strategy=Strategy.parse(options.get("strategy", "bpe-rr")),
+        orders=LINEAR if options.get("orders") == "linear" else PARTITION,
+        use_antichain=options.get("antichain", "on") == "on",
+        solver_command=options.get("solver"),
+        timeout=float(options.get("timeout", 120)),
+        interpolation=options.get("interpolation", "farkas"),
     )
 
 
@@ -77,20 +79,20 @@ def _print_text(verdict, api=None):
         for i, f in enumerate(verdict.proof):
             print(f"  [{i}] {exprs.fmt(f)}")
         if api is not None:
+            # rows in numbering order (dead ones too: expanding a row
+            # numbers its targets), built only up to the line cap
             print("proof automaton (determinized):")
-            live = api.live_states() | set(api.finals)
-            lines = 0
-            for q, row in enumerate(api.delta):
-                for j, t in enumerate(row):
-                    if t in live:
-                        mark = " (accepting)" if t in api.finals else ""
+            lines, q = 0, 0
+            while lines < 200 and q < api.n:
+                for j, t in enumerate(api.row(q)):
+                    if api.is_live(t):
+                        mark = " (accepting)" if api.is_final(t) else ""
                         print(f"  {q} -> {t} [label=\"{api.alphabet[j].display}\"]{mark}")
                         lines += 1
                         if lines >= 200:
                             print("  ... (truncated)")
                             break
-                if lines >= 200:
-                    break
+                q += 1
     elif verdict.verdict == "unsafe":
         print("counterexample trace:")
         for s in verdict.trace:
@@ -113,12 +115,14 @@ def _write_stats(path: str, verdict):
 
 
 def _final_proof_dfa(verdict, dfa, solver_command):
+    """The safe proof's automaton, re-proved by a fresh solver, as a
+    LazyDfa: printing it expands only the rows it prints."""
     if verdict.verdict != "safe":
         return None
     proof = proofdb.Proof(verdict.proof)
     with proofdb.SolverClient(solver_command) as solver:
         nfa = proofdb.build_proof_nfa(proof, dfa.alphabet, solver)
-    return determinize(nfa, dfa.alphabet)
+    return LazyDfa(nfa, dfa.alphabet)
 
 
 def check_dependence_soundness(dfa, dep, solver) -> list:
@@ -163,7 +167,7 @@ def _commutes(a, b, solver) -> bool:
 
 
 def cmd_verify(args) -> int:
-    cfg = _build_config(args)
+    cfg = _build_config(vars(args))
     try:
         text = open(args.file).read()
     except OSError as e:
@@ -215,15 +219,7 @@ def run_benchmark(path: str, overrides: dict | None = None):
         expect = {**expect, **overrides}
     t0 = time.monotonic()
     dfa, dep, _ = load_program(text, atomic=expect.get("atomic_blocks", False))
-    cfg = cegar.VerifyConfig(
-        strategy=Strategy.parse(expect.get("strategy", "bpe-rr")),
-        orders=LINEAR if expect.get("orders") == "linear" else PARTITION,
-        use_antichain=expect.get("antichain", "on") == "on",
-        timeout=float(expect.get("timeout", 120)),
-        interpolation=expect.get("interpolation", "farkas"),
-        solver_command=expect.get("solver"),
-    )
-    verdict = cegar.verify(dfa, dep, cfg)
+    verdict = cegar.verify(dfa, dep, _build_config(expect))
     total = time.monotonic() - t0
     row = {
         "name": os.path.splitext(os.path.basename(path))[0],

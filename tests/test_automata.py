@@ -6,7 +6,8 @@ import pytest
 from hyperweave.automata import (AlphabetError, Dfa, LazyDfa, Nfa,
                                  check_wellformed, determinize, equivalent,
                                  first_difference_trace, from_words, minimize,
-                                 reindex, shuffle)
+                                 shuffle)
+from hyperweave.limits import ResourceLimit
 from tests.conftest import random_nfa
 
 
@@ -121,6 +122,7 @@ def test_first_difference_agrees_with_scan():
         nfa2 = random_nfa(rng, rng.randint(1, 4), alphabet)
         p, pi = determinize(nfa1), determinize(nfa2)
         got = first_difference_trace(p, pi)
+        assert first_difference_trace(p, LazyDfa(nfa2)) == got
         scan = None
         done = False
         for n in range(0, 8):
@@ -137,6 +139,34 @@ def test_first_difference_agrees_with_scan():
             assert got == scan
 
 
+def test_other_alphabet_order_is_rejected():
+    P = from_words([("a",)], ("a", "b"))
+    with pytest.raises(AlphabetError):
+        first_difference_trace(P, from_words([("a",)], ("b", "a")))
+    with pytest.raises(AlphabetError):
+        equivalent(P, from_words([("a",)], ("b", "a")))
+
+
+def test_first_difference_honours_deadline():
+    # p: the words of length >= 20; pi: every word, read through a counter
+    # of the word as a binary number mod 2048.  Inclusion holds, and the
+    # search meets far more than 1024 pairs before it can say so.
+    alphabet = ("a", "b")
+    p = Dfa(alphabet, [[min(q + 1, 20)] * 2 for q in range(21)], 0,
+            frozenset({20}))
+    n = 2048
+    trans = {(q, a): {(2 * q + i) % n} for q in range(n)
+             for i, a in enumerate(alphabet)}
+
+    def pi():
+        return LazyDfa(Nfa(n, alphabet, trans, 0, set(range(n))))
+    assert first_difference_trace(p, pi()) is None
+    late = pi()
+    with pytest.raises(ResourceLimit):
+        first_difference_trace(p, late, deadline=0.0)
+    assert late.rows_built < 1024
+
+
 def test_minimize_preserves_language():
     rng = random.Random(7)
     for _ in range(120):
@@ -145,9 +175,3 @@ def test_minimize_preserves_language():
         small = minimize(dfa)
         assert small.n <= dfa.n
         assert equivalent(dfa, small)
-
-
-def test_reindex():
-    P = from_words([("a", "b")], ("a", "b"))
-    Q = reindex(P, ("b", "a"))
-    assert Q.accepts(("a", "b")) and not Q.accepts(("b", "a"))

@@ -288,7 +288,7 @@ def _extract_twice(monkeypatch):
      "no counterexample extracted"),
     (SIMPLEINC, _extract_twice, "counterexample repeated across rounds"),
     (SIMPLEINC, lambda mp: mp.setattr(cegar, "first_difference_trace",
-                                      lambda p, pi: None),
+                                      lambda p, pi, deadline: None),
      "naive strategy found no difference trace"),
 ], ids=["replay", "no-cex", "repeated-cex", "naive"])
 def test_broken_invariant_is_unknown(monkeypatch, program, patch, reason):

@@ -5,11 +5,11 @@ import sys
 
 import pytest
 
-from hyperweave import proofdb
+from hyperweave import cegar, proofdb
 from hyperweave.antichain import check
 from hyperweave.automata import determinize
-from hyperweave.cli import (formula_from_json, formula_to_json, main,
-                            run_benchmark)
+from hyperweave.cli import (_final_proof_dfa, _print_text, formula_from_json,
+                            formula_to_json, main, run_benchmark)
 from hyperweave.frontend import load_program
 from hyperweave.reduction import PARTITION
 from tests.conftest import child_env
@@ -42,6 +42,9 @@ def test_exit_codes(tmpfiles, capsys):
     capsys.readouterr()
     assert main(["verify", safe, "--strategy", "bpe-l0"]) == 64
     assert "N >= 1" in capsys.readouterr().err
+    # the strategy is rejected before the program is read
+    assert main(["verify", "/missing.imp", "--strategy", "bpe-l0"]) == 64
+    assert "N >= 1" in capsys.readouterr().err
 
 
 def test_parse_error_exit(tmp_path, capsys):
@@ -68,6 +71,42 @@ def test_json_output_roundtrips(tmpfiles, capsys, solver):
     nfa = proofdb.build_proof_nfa(proof, dfa.alphabet, solver)
     api = determinize(nfa, dfa.alphabet)
     assert check(dfa, api, dep, PARTITION).covered
+
+
+def _full_dfa_lines(dfa, proof, solver) -> list:
+    """The text printout's automaton lines, by the full subset construction."""
+    nfa = proofdb.build_proof_nfa(proofdb.Proof(proof), dfa.alphabet, solver)
+    api = determinize(nfa, dfa.alphabet)
+    live = api.live_states()
+    lines = []
+    for q, row in enumerate(api.delta):
+        for j, t in enumerate(row):
+            if t in live:
+                mark = " (accepting)" if t in api.finals else ""
+                lines.append(f"  {q} -> {t} "
+                             f"[label=\"{api.alphabet[j].display}\"]{mark}")
+    return lines[:200] + (["  ... (truncated)"] if len(lines) >= 200 else [])
+
+
+MULT_DIST = os.path.join(os.path.dirname(__file__), "..", "benchmarks",
+                         "sequential", "mult_dist.imp")
+
+
+@pytest.mark.parametrize("source, atomic", [
+    (SAFE_SRC, False), (open(MULT_DIST).read(), True)],
+    ids=["simpleinc", "mult_dist-atomic"])
+def test_text_proof_automaton_equals_full_determinization(
+        capsys, solver, source, atomic):
+    dfa, dep, _ = load_program(source, atomic=atomic)
+    verdict = cegar.verify(dfa, dep, cegar.VerifyConfig(timeout=60))
+    assert verdict.verdict == "safe"
+    api = _final_proof_dfa(verdict, dfa, None)
+    _print_text(verdict, api)
+    out = capsys.readouterr().out.splitlines()
+    start = out.index("proof automaton (determinized):") + 1
+    end = next(i for i, line in enumerate(out) if line.startswith("rounds:"))
+    assert out[start:end] == _full_dfa_lines(dfa, verdict.proof, solver)
+    assert api.rows_built <= 200
 
 
 def test_formula_json_identity():

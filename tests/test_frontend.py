@@ -4,7 +4,7 @@ import random
 import pytest
 
 from hyperweave import exprs
-from hyperweave.automata import equivalent, from_words, shuffle
+from hyperweave.automata import from_words, shuffle
 from hyperweave.frontend import (ParseError, Stmt, concurrent,
                                  compute_dependence, load_program,
                                  lower_to_dfa, parse_program)
