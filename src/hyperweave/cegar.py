@@ -27,14 +27,18 @@ from .reduction import (OrderSource, PARTITION, ReductionTooLarge,
                         sleep_reduction_lta)
 
 
-@dataclass
+@dataclass(slots=True)
 class RoundRecord:
     number: int
     counterexamples: list          # letter-id tuples
     new_assertions: list           # display strings
     proof_size: int
-    construction_time: float
-    checking_time: float
+    construction_time: float       # proof-NFA extension
+    checking_time: float           # the emptiness check
+    # counterexample extraction (or the naive difference search), and
+    # feasibility plus interpolation of the extracted traces
+    extract_time: float = 0.0
+    refine_time: float = 0.0
     # the round's antichain check counters (0 on the baseline engine)
     cells: int = 0
     fmax_calls: int = 0
@@ -52,6 +56,8 @@ class RoundRecord:
                     proof_size=self.proof_size,
                     construction_time=self.construction_time,
                     checking_time=self.checking_time,
+                    extract_time=self.extract_time,
+                    refine_time=self.refine_time,
                     cells=self.cells, fmax_calls=self.fmax_calls,
                     births=self.births, api_rows=self.api_rows,
                     memo_hits=self.memo_hits,
@@ -189,11 +195,11 @@ def verify(program: Dfa, dep, config: VerifyConfig | None = None):
                 counters = {k: check_stats[k] for k in _ROUND_COUNTERS}
             t_check = time.monotonic() - t0
 
-            def record(words, new_assertions):
+            def record(words, new_assertions, t_extract=0.0, t_refine=0.0):
                 rounds.append(RoundRecord(
                     number, list(words), [fmt(f) for f in new_assertions],
-                    len(proof), t_build, t_check, **counters,
-                    solver_queries=solver.num_queries - queries0,
+                    len(proof), t_build, t_check, t_extract, t_refine,
+                    **counters, solver_queries=solver.num_queries - queries0,
                     cache_hits=cache.hits - hits0))
 
             if covered:
@@ -203,6 +209,7 @@ def verify(program: Dfa, dep, config: VerifyConfig | None = None):
                     return Unknown("revalidation failed", rounds, stats)
                 return Safe(list(proof), rounds, stats)
 
+            t0 = time.monotonic()
             if strategy.kind == "naive":
                 word = first_difference_trace(
                     program, LazyDfa(nfa, program.alphabet), deadline)
@@ -213,9 +220,11 @@ def verify(program: Dfa, dep, config: VerifyConfig | None = None):
             else:
                 words = ac.extract_counterexamples(forest, program.alphabet,
                                                    strategy, CEX_CAP)
+            t_extract = time.monotonic() - t0
             if not words:
                 return Unknown("no counterexample extracted", rounds, stats)
 
+            t0 = time.monotonic()
             new_assertions: list = []
             for w in words:
                 if time.monotonic() > deadline:
@@ -229,7 +238,8 @@ def verify(program: Dfa, dep, config: VerifyConfig | None = None):
                 if model is not None:
                     if proofdb.replay(trace, model) is None:
                         return Unknown("model does not replay", rounds, stats)
-                    record(words[: words.index(w) + 1], new_assertions)
+                    record(words[: words.index(w) + 1], new_assertions,
+                           t_extract, time.monotonic() - t0)
                     return Unsafe(trace, model, rounds, stats)
                 chain = proofdb.interpolate(trace, solver,
                                             engine=cfg.interpolation,
@@ -238,7 +248,7 @@ def verify(program: Dfa, dep, config: VerifyConfig | None = None):
                     if proof.add(f):
                         new_assertions.append(f)
 
-            record(words, new_assertions)
+            record(words, new_assertions, t_extract, time.monotonic() - t0)
 
             if not new_assertions:
                 if (strategy.kind, strategy.mode) == ("bpe", "rr") and not fell_back:

@@ -126,8 +126,8 @@ def negate(f):
     if tag == "false":
         return TRUE
     if tag == "le":
-        _, coeffs, k = f
-        return _atom("le", {v: -a for v, a in coeffs}, -k + 1)
+        # canonical coefficients stay sorted and gcd-reduced when negated
+        return ("le", _neg_coeffs(f[1]), 1 - f[2])
     if tag == "eq":
         return ("ne", f[1], f[2])
     if tag == "ne":
@@ -261,7 +261,7 @@ def eval_formula(f, env: dict) -> bool:
 
 
 def _neg_coeffs(coeffs):
-    return tuple((v, -a) for v, a in coeffs)
+    return tuple([(v, -a) for v, a in coeffs])
 
 
 def atom_implies(f, g) -> bool:

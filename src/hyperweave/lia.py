@@ -8,8 +8,12 @@ self-contained exact implementation with one solving path:
 - ``solve_literals`` merges complementary ``le`` pairs into equalities and
   substitutes away equalities with a unit coefficient;
 - ``solve_facets`` solves the rational relaxation (``_relax``: a general
-  simplex over rationals in the bounds-and-tableau style) and then branches
-  and bounds for integrality.
+  simplex in the bounds-and-tableau style) and then branches and bounds for
+  integrality.
+
+The simplex is exact: a value is an ``int`` when it is integral and a
+``Fraction`` only when it is not (``_q``), so the common all-integral
+tableau pays no ``Fraction`` arithmetic.
 
 ``rational_cert`` runs the same relaxation.  When a conjunction is rationally
 infeasible the simplex yields a Farkas certificate (nonnegative multipliers
@@ -29,8 +33,18 @@ from typing import Optional
 from . import exprs
 from .exprs import _neg_coeffs
 
-ZERO = Fraction(0)
+ZERO = 0
 BRANCH_BUDGET = 600                # branch-and-bound nodes per solve_facets
+Num = int | Fraction               # an int whenever the value is integral
+
+
+def _q(p, q=1):
+    """p / q exactly, for ints and Fractions: an int when the quotient is
+    integral, else a Fraction.  _q(x) normalizes an integral Fraction x."""
+    if p.__class__ is int and q.__class__ is int:
+        return p // q if p % q == 0 else Fraction(p, q)
+    r = Fraction(p, q)
+    return r.numerator if r.denominator == 1 else r
 
 
 class Budget:
@@ -64,7 +78,7 @@ def ne_halves(atom) -> tuple:
 def verify_cert(facets, cert: dict) -> bool:
     """Check a Farkas certificate: sum of m*facet is 0 <= -c with c > 0."""
     total: dict = {}
-    const = Fraction(0)
+    const = 0
     for idx, m in cert.items():
         if m < 0:
             return False
@@ -76,15 +90,19 @@ def verify_cert(facets, cert: dict) -> bool:
 
 
 class Simplex:
-    """General simplex with variable bounds (exact rational arithmetic)."""
+    """General simplex with variable bounds.
+
+    Exact over ints and Fractions: every value (row coefficient, beta,
+    bound, certificate multiplier) is an int when it is integral.
+    """
 
     BRANCH = -1  # pseudo facet index for branch-and-bound bounds
 
     def __init__(self):
-        self.rows: dict[int, dict[int, Fraction]] = {}
-        self.beta: dict[int, Fraction] = {}
-        self.lo: dict[int, tuple[Fraction, int]] = {}
-        self.hi: dict[int, tuple[Fraction, int]] = {}
+        self.rows: dict[int, dict[int, Num]] = {}
+        self.beta: dict[int, Num] = {}
+        self.lo: dict[int, tuple[Num, int]] = {}
+        self.hi: dict[int, tuple[Num, int]] = {}
         self.nvars = 0
 
     def clone(self) -> "Simplex":
@@ -102,7 +120,7 @@ class Simplex:
         self.beta[v] = ZERO
         return v
 
-    def add_bound(self, v: int, side: str, val: Fraction, reason: int) -> bool:
+    def add_bound(self, v: int, side: str, val: Num, reason: int) -> bool:
         """Record a bound; returns False on an immediately empty interval."""
         table = self.hi if side == "hi" else self.lo
         cur = table.get(v)
@@ -111,9 +129,9 @@ class Simplex:
         lo, hi = self.lo.get(v), self.hi.get(v)
         return not (lo is not None and hi is not None and lo[0] > hi[0])
 
-    def define_slack(self, combo: dict[int, Fraction]) -> int:
+    def define_slack(self, combo: dict[int, int]) -> int:
         s = self.new_var()
-        self.rows[s] = {v: Fraction(a) for v, a in combo.items() if a != 0}
+        self.rows[s] = {v: a for v, a in combo.items() if a != 0}
         self.beta[s] = sum((a * self.beta[v] for v, a in self.rows[s].items()), ZERO)
         return s
 
@@ -128,7 +146,7 @@ class Simplex:
             elif hi is not None and b > hi[0]:
                 self._update_nonbasic(v, hi[0])
 
-    def _update_nonbasic(self, v: int, val: Fraction):
+    def _update_nonbasic(self, v: int, val: Num):
         d = val - self.beta[v]
         if d == 0:
             return
@@ -136,30 +154,30 @@ class Simplex:
         for b, row in self.rows.items():
             a = row.get(v)
             if a:
-                self.beta[b] += a * d
+                self.beta[b] = _q(self.beta[b] + a * d)
 
-    def _pivot(self, b: int, n: int, target: Fraction):
+    def _pivot(self, b: int, n: int, target: Num):
         row = self.rows[b]
         a = row[n]
-        theta = (target - self.beta[b]) / a
-        self.beta[n] += theta
+        theta = _q(target - self.beta[b], a)
+        self.beta[n] = _q(self.beta[n] + theta)
         self.beta[b] = target
         for m, mrow in self.rows.items():
             if m != b:
                 c = mrow.get(n)
                 if c:
-                    self.beta[m] += c * theta
+                    self.beta[m] = _q(self.beta[m] + c * theta)
         del self.rows[b]
-        nrow = {b: Fraction(1) / a}
+        nrow = {b: _q(1, a)}
         for j, c in row.items():
             if j != n and c != 0:
-                nrow[j] = -c / a
+                nrow[j] = _q(-c, a)
         for m in list(self.rows):
             mrow = self.rows[m]
             c = mrow.pop(n, None)
             if c:
                 for j, d in nrow.items():
-                    val = mrow.get(j, ZERO) + c * d
+                    val = _q(mrow.get(j, ZERO) + c * d)
                     if val == 0:
                         mrow.pop(j, None)
                     else:
@@ -202,10 +220,10 @@ class Simplex:
     def _certificate(self, b: int, up: bool) -> dict:
         """Multipliers of b's violated bound and of every bound blocking b."""
         own, other = (self.lo, self.hi) if up else (self.hi, self.lo)
-        cert = {own[b][1]: Fraction(1)}
+        cert = {own[b][1]: 1}
         for n, a in self.rows[b].items():
             reason = (other if a > 0 else own)[n][1]
-            cert[reason] = cert.get(reason, ZERO) + abs(a)
+            cert[reason] = _q(cert.get(reason, ZERO) + abs(a))
         return cert
 
 
@@ -222,19 +240,19 @@ def _build_simplex(facets, var_ids: dict) -> Simplex:
                 # empty-interval variable so _relax reports it with a cert
                 v = s.new_var()
                 s.rows[v] = {}
-                s.add_bound(v, "hi", Fraction(-k), idx)
+                s.add_bound(v, "hi", -k, idx)
                 s.add_bound(v, "lo", ZERO, idx)
         elif len(coeffs) == 1 and coeffs[0][1] in (1, -1):
             # a bound; any other facet bounds a slack row, since a bound
             # v <= -k/a would scale the facet's certificate multiplier by |a|
             (v, a), = coeffs
-            s.add_bound(var_ids[v], "hi" if a > 0 else "lo", Fraction(-k, a), idx)
+            s.add_bound(var_ids[v], "hi" if a > 0 else "lo", _q(-k, a), idx)
         else:
             slack = combo_slack.get(coeffs)
             if slack is None:
                 slack = combo_slack[coeffs] = s.define_slack(
-                    {var_ids[v]: Fraction(a) for v, a in coeffs})
-            s.add_bound(slack, "hi", Fraction(-k), idx)
+                    {var_ids[v]: a for v, a in coeffs})
+            s.add_bound(slack, "hi", -k, idx)
     return s
 
 
@@ -325,7 +343,7 @@ def _branch(s: Simplex, names, facets, budget: Budget):
     val = s.beta[frac_var]
     floor_v = val.numerator // val.denominator
     unknown = False
-    for side, bound in (("hi", Fraction(floor_v)), ("lo", Fraction(floor_v + 1))):
+    for side, bound in (("hi", floor_v), ("lo", floor_v + 1)):
         sub = s.clone()
         if not sub.add_bound(frac_var, side, bound, Simplex.BRANCH):
             continue

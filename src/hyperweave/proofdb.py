@@ -15,9 +15,9 @@ import os
 import select
 import shlex
 import subprocess
+import sys
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 
 from . import exprs, lia
@@ -578,13 +578,13 @@ def _partial_sums(case, cert, enc: SsaTrace, n: int):
     sums = []
     for t in range(n + 1):
         coeffs: dict = {}
-        const = Fraction(0)
+        const = 0
         for idx, (pos, (fc, fk)) in enumerate(case):
             m = cert.get(idx)
             if not m or pos >= t:
                 continue
             for v, a in fc:
-                coeffs[v] = coeffs.get(v, Fraction(0)) + m * a
+                coeffs[v] = coeffs.get(v, 0) + m * a
             const += m * fk
         coeffs = {v: a for v, a in coeffs.items() if a != 0}
         live = enc.snapshots[t]
@@ -593,8 +593,10 @@ def _partial_sums(case, cert, enc: SsaTrace, n: int):
             if live.get(base, 0) != (int(ver) if ver else 0):
                 return None  # dead SSA version survived; certificate unusable
         denom = lcm(*(a.denominator for a in [*coeffs.values(), const]))
+        # interned: the proof keeps these names, one string per variable
         atom = exprs._atom("le",
-                           {v.partition("@")[0]: int(a * denom) for v, a in coeffs.items()},
+                           {sys.intern(v.partition("@")[0]): int(a * denom)
+                            for v, a in coeffs.items()},
                            int(const * denom))
         sums.append(atom)
     return sums

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -430,3 +431,24 @@ def test_revalidation_redecides_only_the_loop_edges(monkeypatch):
     assert decided == len(loop.edges)
     assert cache is None and solver is not loop.solver
     assert decided < len(v.proof) ** 2 * len(dfa.alphabet)
+
+
+@pytest.mark.parametrize("name", ["sequential/arrayeq_symm",
+                                  "unsafe/mult_dist_unsafe"])
+def test_round_times_fit_in_the_run(name):
+    # construction, check, extraction and refinement are disjoint parts of
+    # a round, so over all rounds they add up to at most the verify time
+    path = os.path.join(os.path.dirname(__file__), "..", "benchmarks", name)
+    expect = json.load(open(path + ".expect"))
+    dfa, dep, _ = load_program(open(path + ".imp").read(),
+                               atomic=expect.get("atomic_blocks", False))
+    t0 = time.monotonic()
+    v = verify(dfa, dep, VerifyConfig(timeout=60))
+    wall = time.monotonic() - t0
+    assert v.verdict == expect["verdict"]
+    times = [(r.construction_time, r.checking_time, r.extract_time,
+              r.refine_time) for r in v.rounds]
+    assert all(t >= 0 for ts in times for t in ts)
+    assert sum(map(sum, times)) <= wall
+    assert any(r.extract_time > 0 and r.refine_time > 0 for r in v.rounds)
+    assert {"extract_time", "refine_time"} <= set(v.rounds[0].as_dict())

@@ -124,8 +124,8 @@ def test_stats_file(tmpfiles, capsys):
     lines = [json.loads(l) for l in open(stats)]
     assert lines and all("proof_size" in l for l in lines)
     assert all(l["cells"] > 0 and l["api_rows"] > 0 for l in lines)
-    assert all({"memo_hits", "solver_queries", "cache_hits"} <= set(l)
-               for l in lines)
+    assert all({"memo_hits", "solver_queries", "cache_hits", "extract_time",
+                "refine_time"} <= set(l) for l in lines)
     assert sum(l["solver_queries"] for l in lines) > 0
     capsys.readouterr()
 

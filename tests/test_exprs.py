@@ -84,3 +84,19 @@ def test_atom_semantics_preserved(cx, cy, k):
             want = {"<": lhs_v < k, "<=": lhs_v <= k, "=": lhs_v == k,
                     "!=": lhs_v != k, ">": lhs_v > k, ">=": lhs_v >= k}[op]
             assert exprs.eval_formula(atom, env) == want
+
+
+_VARS = ["a", "b", "x@1", "x@2", "y"]
+
+
+@given(st.dictionaries(st.sampled_from(_VARS),
+                       st.integers(-9, 9).filter(bool), min_size=1),
+       st.integers(-20, 20))
+def test_negate_of_canonical_le_atoms(coeffs, k):
+    # negate flips a canonical le atom in place; the result is what _atom
+    # would build, and negating twice gives the atom back
+    f = exprs._atom("le", coeffs, k)
+    assert f[0] == "le"
+    assert exprs.negate(f) == exprs._atom("le", {v: -a for v, a in f[1]},
+                                          1 - f[2])
+    assert exprs.negate(exprs.negate(f)) == f

@@ -3,6 +3,8 @@ import random
 
 from fractions import Fraction
 
+from hypothesis import given, strategies as st
+
 from hyperweave import exprs, lia
 from hyperweave.exprs import atom_from_cmp, num, var
 
@@ -167,3 +169,44 @@ def test_partial_sums_are_valid_chain():
         const += m * facets[idx][1]
     # after the first two facets the combination implies y <= 0
     assert partial.get("x", 0) == 0 and partial["y"] > 0
+
+
+def _exact_values(s, cert):
+    """Every value the simplex holds: rows, beta, bounds, multipliers."""
+    yield from (a for row in s.rows.values() for a in row.values())
+    yield from s.beta.values()
+    yield from (val for table in (s.lo, s.hi) for val, _ in table.values())
+    yield from (cert or {}).values()
+
+
+def test_simplex_keeps_integral_values_as_ints():
+    # the random facets of test_shared_relaxation_on_random_facets: a value
+    # is a Fraction only when it is not integral, and both kinds occur
+    rng = random.Random(5)
+    fractions = 0
+    for _ in range(300):
+        names = ["x", "y", "z"][:rng.randint(2, 3)]
+        s, _, _, cert = lia._relax(_random_facets(rng, names))
+        for val in _exact_values(s, cert):
+            assert type(val) is int or val.denominator != 1, val
+            fractions += type(val) is Fraction
+    assert fractions
+
+
+@given(st.integers(-60, 60), st.integers(-12, 12).filter(bool))
+def test_q_divides_ints_exactly(p, q):
+    r = lia._q(p, q)
+    assert r == Fraction(p, q)
+    assert (type(r) is int) == (p % q == 0)
+
+
+_NUMS = st.one_of(st.integers(-60, 60),
+                  st.fractions(-60, 60, max_denominator=12))
+
+
+@given(_NUMS, _NUMS.filter(bool))
+def test_q_divides_mixed_arguments_exactly(p, q):
+    r = lia._q(p, q)
+    assert r == Fraction(p) / q
+    assert (type(r) is int) == ((Fraction(p) / q).denominator == 1)
+    assert lia._q(r) == r and type(lia._q(r)) is type(r)
