@@ -7,13 +7,9 @@ self-contained exact implementation with one solving path:
   (DNF) and each ``ne`` atom into its two strict halves (``ne_halves``);
 - ``solve_literals`` merges complementary ``le`` pairs into equalities and
   substitutes away equalities with a unit coefficient;
-- ``solve_facets`` solves the rational relaxation (``_relax``: a general
-  simplex in the bounds-and-tableau style) and then branches and bounds for
-  integrality.
-
-The simplex is exact: a value is an ``int`` when it is integral and a
-``Fraction`` only when it is not (``_q``), so the common all-integral
-tableau pays no ``Fraction`` arithmetic.
+- ``solve_facets`` solves the rational relaxation (``_relax``: an exact
+  simplex in the bounds-and-tableau style, over ints, with a ``Fraction`` only
+  for a non-integral value) and then branches and bounds for integrality.
 
 ``rational_cert`` runs the same relaxation.  When a conjunction is rationally
 infeasible the simplex yields a Farkas certificate (nonnegative multipliers
@@ -90,11 +86,8 @@ def verify_cert(facets, cert: dict) -> bool:
 
 
 class Simplex:
-    """General simplex with variable bounds.
-
-    Exact over ints and Fractions: every value (row coefficient, beta,
-    bound, certificate multiplier) is an int when it is integral.
-    """
+    """General simplex with variable bounds, exact over ints and Fractions:
+    a row coefficient, beta, bound or multiplier is an int when integral."""
 
     BRANCH = -1  # pseudo facet index for branch-and-bound bounds
 

@@ -193,19 +193,13 @@ def test_simplex_keeps_integral_values_as_ints():
     assert fractions
 
 
-@given(st.integers(-60, 60), st.integers(-12, 12).filter(bool))
-def test_q_divides_ints_exactly(p, q):
-    r = lia._q(p, q)
-    assert r == Fraction(p, q)
-    assert (type(r) is int) == (p % q == 0)
-
-
 _NUMS = st.one_of(st.integers(-60, 60),
                   st.fractions(-60, 60, max_denominator=12))
 
 
 @given(_NUMS, _NUMS.filter(bool))
-def test_q_divides_mixed_arguments_exactly(p, q):
+def test_q_divides_exactly(p, q):
+    # ints, Fractions and mixed: an int exactly when the quotient is integral
     r = lia._q(p, q)
     assert r == Fraction(p) / q
     assert (type(r) is int) == ((Fraction(p) / q).denominator == 1)
