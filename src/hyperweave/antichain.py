@@ -25,7 +25,7 @@ every order family: such cells are never materialized.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import islice
 
 from .automata import AlphabetError, Dfa
@@ -101,10 +101,7 @@ class Stats:
     memo_hits: int = 0
 
     def as_dict(self) -> dict:
-        return dict(cells=self.cells, fmax_calls=self.fmax_calls,
-                    joins=self.joins, meets=self.meets,
-                    peak_width=self.peak_width, births=self.births,
-                    memo_hits=self.memo_hits)
+        return asdict(self)
 
 
 # ------------------------------------------------------------- fmax steps

@@ -16,7 +16,7 @@ revalidation.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import antichain as ac
 from . import lta as ltamod
@@ -50,19 +50,9 @@ class RoundRecord:
     cache_hits: int = 0
 
     def as_dict(self) -> dict:
-        return dict(round=self.number,
-                    counterexamples=[list(w) for w in self.counterexamples],
-                    new_assertions=self.new_assertions,
-                    proof_size=self.proof_size,
-                    construction_time=self.construction_time,
-                    checking_time=self.checking_time,
-                    extract_time=self.extract_time,
-                    refine_time=self.refine_time,
-                    cells=self.cells, fmax_calls=self.fmax_calls,
-                    births=self.births, api_rows=self.api_rows,
-                    memo_hits=self.memo_hits,
-                    solver_queries=self.solver_queries,
-                    cache_hits=self.cache_hits)
+        d = asdict(self)
+        d["counterexamples"] = [list(w) for w in self.counterexamples]
+        return {"round": d.pop("number"), **d}
 
 
 @dataclass
@@ -166,8 +156,7 @@ def verify(program: Dfa, dep, config: VerifyConfig | None = None):
         # present even when the first check times out
         stats["check"] = dict(ac.Stats().as_dict(), api_rows=0)
     deadline = time.monotonic() + cfg.timeout
-    strategy = cfg.strategy
-    fell_back = False
+    t_revalidate = 0.0
 
     cache = proofdb.EntailmentCache()
     proof = proofdb.Proof()
@@ -204,13 +193,18 @@ def verify(program: Dfa, dep, config: VerifyConfig | None = None):
 
             if covered:
                 record([], [])
-                if not _revalidate(program, dep, cfg, proof, builder.edges,
-                                   deadline):
+                t0 = time.monotonic()
+                try:
+                    valid = _revalidate(program, dep, cfg, proof,
+                                        builder.edges, deadline)
+                finally:
+                    t_revalidate = time.monotonic() - t0
+                if not valid:
                     return Unknown("revalidation failed", rounds, stats)
                 return Safe(list(proof), rounds, stats)
 
             t0 = time.monotonic()
-            if strategy.kind == "naive":
+            if cfg.strategy.kind == "naive":
                 word = first_difference_trace(
                     program, LazyDfa(nfa, program.alphabet), deadline)
                 if word is None:
@@ -219,7 +213,7 @@ def verify(program: Dfa, dep, config: VerifyConfig | None = None):
                 words = [tuple(program.alphabet.index(s) for s in word)]
             else:
                 words = ac.extract_counterexamples(forest, program.alphabet,
-                                                   strategy, CEX_CAP)
+                                                   cfg.strategy, CEX_CAP)
             t_extract = time.monotonic() - t0
             if not words:
                 return Unknown("no counterexample extracted", rounds, stats)
@@ -251,11 +245,8 @@ def verify(program: Dfa, dep, config: VerifyConfig | None = None):
             record(words, new_assertions, t_extract, time.monotonic() - t0)
 
             if not new_assertions:
-                if (strategy.kind, strategy.mode) == ("bpe", "rr") and not fell_back:
-                    strategy = ac.Strategy("bpe", "m", 1)
-                    fell_back = True
-                    stats["fallback"] = str(strategy)
-                    continue
+                # a bug: one cache decides chains and edges, so the proof
+                # NFA already accepts a trace whose chain adds nothing
                 return Unknown("stagnation: no new assertion", rounds, stats)
             if len(proof) > MAX_PROOF:
                 return Unknown(f"proof size exceeded {MAX_PROOF}", rounds, stats)
@@ -270,7 +261,8 @@ def verify(program: Dfa, dep, config: VerifyConfig | None = None):
         stats.update(proof_size=len(proof), rounds=len(rounds),
                      cache_entries=len(cache),
                      solver_queries=0 if solver is None else solver.num_queries,
-                     cache_hits=cache.hits, cache_misses=cache.misses)
+                     cache_hits=cache.hits, cache_misses=cache.misses,
+                     revalidate_time=t_revalidate)
         if solver is not None:
             solver.close()
 

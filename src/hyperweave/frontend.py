@@ -5,6 +5,10 @@ assume-guarded edges, parallel composition lowers to a shuffle product of the
 branch DFAs.  Every statement in the final automaton is a Stmt carrying its
 thread/region, read and write sets, and a list of primitive operations (one
 for plain statements, several for fused atomic blocks).
+
+Each emitted DFA is normalized once, by ``minimize`` (which also merges its
+dead states); only a shuffle product gets the cheaper ``collapse_dead``.
+Emitted alphabets are in id order, so renumbering ids permutes no column.
 """
 
 from __future__ import annotations
@@ -603,7 +607,7 @@ class _Lowerer:
                 init, fins = self.compile(branch, region + ((par_id, bi),), sub)
                 dfa = self._to_dfa(sub, init, fins)
                 if self.atomic:
-                    dfa = collapse_dead(minimize(fuse_chains(dfa)))
+                    dfa = minimize(fuse_chains(dfa))
                 branch_dfas.append(dfa)
             prod = branch_dfas[0]
             for d in branch_dfas[1:]:
@@ -616,7 +620,7 @@ class _Lowerer:
     def _to_dfa(frag: _Fragment, init: int, fins: set) -> Dfa:
         stmts = sorted({s for (_, s) in frag.trans}, key=lambda s: s.id)
         nfa = eliminate_epsilon(frag.n, frag.trans, frag.eps, init, fins, tuple(stmts))
-        return collapse_dead(minimize(determinize(nfa)))
+        return minimize(determinize(nfa))
 
 
 def collapse_dead(dfa: Dfa) -> Dfa:
@@ -645,6 +649,7 @@ def fuse_chains(dfa: Dfa) -> Dfa:
     An intermediate state is fused away when it is live, non-final, not
     initial, has exactly one live in-edge and one live out-edge, both edges'
     statements occur nowhere else, and both belong to the same region.
+    The result is complete, not minimal: every caller minimizes it.
     """
     live = dfa.live_states()
     edges: dict[int, list] = {}
@@ -708,7 +713,7 @@ def fuse_chains(dfa: Dfa) -> Dfa:
             delta[remap[u]][idx[st]] = remap[v]
     delta.append([sink] * len(stmts))
     finals = frozenset(remap[q] for q in dfa.finals if q in remap)
-    return collapse_dead(Dfa(tuple(stmts), delta, remap[dfa.initial], finals))
+    return Dfa(tuple(stmts), delta, remap[dfa.initial], finals)
 
 
 def lower_to_dfa(ast: Ast, atomic: bool = False) -> Dfa:
@@ -718,14 +723,11 @@ def lower_to_dfa(ast: Ast, atomic: bool = False) -> Dfa:
     init, fins = lo.compile(ast.body, (), frag)
     dfa = lo._to_dfa(frag, init, fins)
     if atomic:
-        dfa = collapse_dead(minimize(fuse_chains(dfa)))
-    # dense statement ids in creation order
-    stmts = sorted(dfa.alphabet, key=lambda s: s.id)
-    for i, s in enumerate(stmts):
+        dfa = minimize(fuse_chains(dfa))
+    # dense statement ids; the alphabet is already in id order
+    for i, s in enumerate(dfa.alphabet):
         s.id = i
-    perm = [dfa.alphabet.index(s) for s in stmts]
-    delta = [[row[j] for j in perm] for row in dfa.delta]
-    return Dfa(tuple(stmts), delta, dfa.initial, dfa.finals)
+    return dfa
 
 
 def load_program(text: str, atomic: bool = False) -> tuple[Dfa, DependenceRel, Ast]:

@@ -4,9 +4,11 @@ All solver contact goes through one ``SolverClient``.  By default it solves
 in this process with ``lia``; given a command (``--solver`` /
 ``HYPERWEAVE_SOLVER``) it drives an SMT-LIB v2 child process instead, e.g.
 ``z3 -in`` or the bundled ``python -m hyperweave.smtserver``.  Entailment
-verdicts are cached across refinement rounds; interpolation chains are
-re-validated triple by triple so a generation bug can never produce an
-unsound proof automaton.
+verdicts are cached across refinement rounds.  ``hoare_verdicts`` is the
+one place that decides Hoare triples: the proof NFA's edges and each
+interpolation chain (all its triples in one batch, through the same cache)
+go through it, so a generation bug can never produce an unsound proof
+automaton.
 """
 
 from __future__ import annotations
@@ -273,8 +275,6 @@ def syntactic_verdict(pre, stmt: Stmt, post, wpf):
         return True
     if exprs.implies(pre, wpf):
         return True
-    if pre == post and not (stmt.writes & exprs.vars_of(pre)):
-        return True
     if wpf == FALSE:
         return pre == FALSE
     return None
@@ -313,12 +313,6 @@ def hoare_verdicts(triples, solver: SolverClient,
         out[k] = res == "unsat"
         cache.put(key, out[k])
     return out
-
-
-def hoare_valid(pre, stmt: Stmt, post, solver: SolverClient,
-                cache: EntailmentCache | None = None) -> bool:
-    """Validity of {pre} stmt {post}."""
-    return hoare_verdicts([(pre, stmt, post)], solver, cache)[0]
 
 
 # ------------------------------------------------------------------- proof
@@ -492,8 +486,8 @@ def interpolate(trace, solver: SolverClient, engine: str = "wp",
 def _chain_ok(chain, trace, solver, cache) -> bool:
     if len(chain) != len(trace) + 1 or chain[0] != TRUE or chain[-1] != FALSE:
         return False
-    return all(hoare_valid(chain[i], trace[i], chain[i + 1], solver, cache)
-               for i in range(len(trace)))
+    return all(hoare_verdicts(list(zip(chain, trace, chain[1:])), solver,
+                              cache))
 
 
 def _interpolate_wp(trace, solver: SolverClient) -> list:

@@ -231,7 +231,8 @@ def test_criterion_8_proof_nfa_integrity():
     agree = 0
     with proofdb.SolverClient() as fresh:
         for (pre, sid, post), cached in sample:
-            got = proofdb.hoare_valid(pre, stmts[sid], post, fresh, None)
+            got = proofdb.hoare_verdicts([(pre, stmts[sid], post)], fresh,
+                                         None)[0]
             assert got == cached
             agree += 1
     _report(8, f"{agree}/{len(sample)} cached triples re-confirmed by a "

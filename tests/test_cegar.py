@@ -58,6 +58,20 @@ def test_round_records_carry_check_counters():
     assert all(rec.cells == rec.api_rows == 0 for rec in base.rounds)
 
 
+def test_round_record_dict_keeps_its_key_order():
+    rec = RoundRecord(3, [(0, 1)], ["a"], 4, 0.5, 0.25)
+    d = rec.as_dict()
+    assert list(d) == ["round", "counterexamples", "new_assertions",
+                       "proof_size", "construction_time", "checking_time",
+                       "extract_time", "refine_time", "cells", "fmax_calls",
+                       "births", "api_rows", "memo_hits", "solver_queries",
+                       "cache_hits"]
+    assert d["round"] == 3 and d["counterexamples"] == [[0, 1]]
+    assert list(ac.Stats().as_dict()) == ["cells", "fmax_calls", "joins",
+                                          "meets", "peak_width", "births",
+                                          "memo_hits"]
+
+
 def test_round_counters_add_up_to_the_run():
     dfa, dep, _ = load_program(SIMPLEINC)
     for cfg in (VerifyConfig(timeout=60),
@@ -371,15 +385,18 @@ def _no_new_assertion(monkeypatch):
                         [exprs.TRUE] * len(trace) + [exprs.FALSE])
 
 
-@pytest.mark.parametrize("patch, reason", [
-    (_fake_clock, "timeout"),
-    (_no_new_assertion, "stagnation: no new assertion"),
+@pytest.mark.parametrize("patch, reason, strategy", [
+    (_fake_clock, "timeout", Strategy("pe")),
+    (_no_new_assertion, "stagnation: no new assertion", Strategy("pe")),
+    (_no_new_assertion, "stagnation: no new assertion",
+     Strategy("bpe", "rr")),
     (lambda mp: mp.setattr(ac, "extract_counterexamples", lambda *a: []),
-     "no counterexample extracted"),
-], ids=["timeout", "stagnation", "invariant"])
-def test_unknown_carries_the_stats_of_safe(monkeypatch, patch, reason):
+     "no counterexample extracted", Strategy("pe")),
+], ids=["timeout", "stagnation", "stagnation-bpe-rr", "invariant"])
+def test_unknown_carries_the_stats_of_safe(monkeypatch, patch, reason,
+                                           strategy):
     dfa, dep, _ = load_program(SIMPLEINC)
-    cfg = VerifyConfig(strategy=Strategy("pe"), timeout=60)
+    cfg = VerifyConfig(strategy=strategy, timeout=60)
     safe = verify(dfa, dep, cfg)
     assert safe.verdict == "safe"
     patch(monkeypatch)
@@ -437,7 +454,8 @@ def test_revalidation_redecides_only_the_loop_edges(monkeypatch):
                                   "unsafe/mult_dist_unsafe"])
 def test_round_times_fit_in_the_run(name):
     # construction, check, extraction and refinement are disjoint parts of
-    # a round, so over all rounds they add up to at most the verify time
+    # a round, and revalidation follows the last round, so together they
+    # add up to at most the verify time
     path = os.path.join(os.path.dirname(__file__), "..", "benchmarks", name)
     expect = json.load(open(path + ".expect"))
     dfa, dep, _ = load_program(open(path + ".imp").read(),
@@ -449,6 +467,8 @@ def test_round_times_fit_in_the_run(name):
     times = [(r.construction_time, r.checking_time, r.extract_time,
               r.refine_time) for r in v.rounds]
     assert all(t >= 0 for ts in times for t in ts)
-    assert sum(map(sum, times)) <= wall
+    revalidate = v.stats["revalidate_time"]
+    assert sum(map(sum, times)) + revalidate <= wall
+    assert revalidate > 0 if v.verdict == "safe" else revalidate == 0.0
     assert any(r.extract_time > 0 and r.refine_time > 0 for r in v.rounds)
     assert {"extract_time", "refine_time"} <= set(v.rounds[0].as_dict())

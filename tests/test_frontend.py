@@ -1,10 +1,12 @@
+import glob
 import itertools
+import os
 import random
 
 import pytest
 
-from hyperweave import exprs
-from hyperweave.automata import from_words, shuffle
+from hyperweave import exprs, frontend
+from hyperweave.automata import from_words, minimize, shuffle
 from hyperweave.frontend import (ParseError, Stmt, concurrent,
                                  compute_dependence, load_program,
                                  lower_to_dfa, parse_program)
@@ -147,6 +149,36 @@ def test_atomic_block_expansion_bijection():
     fused_words = {tuple(str(op) for s in w for op in s.ops)
                    for w in fused.words_upto(4) if sum(len(s.ops) for s in w) <= 8}
     assert fused_words <= plain_words
+
+
+BUNDLED = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..",
+                                        "benchmarks", "*", "*.imp")))
+
+
+@pytest.mark.parametrize("atomic", [False, True])
+def test_lowering_is_normalized_by_minimize_alone(monkeypatch, atomic):
+    # lower_to_dfa merges dead states only through minimize and renumbers
+    # statements without permuting columns: that needs every DFA _to_dfa
+    # and fuse_chains emit to list its statements in id order
+    emitted = []                   # statement ids as each DFA is emitted
+    real_fuse, real_to_dfa = frontend.fuse_chains, frontend._Lowerer._to_dfa
+
+    def record(dfa):
+        emitted.append([s.id for s in dfa.alphabet])
+        return dfa
+    monkeypatch.setattr(frontend, "fuse_chains",
+                        lambda dfa: record(real_fuse(dfa)))
+    monkeypatch.setattr(frontend._Lowerer, "_to_dfa",
+                        staticmethod(lambda *a: record(real_to_dfa(*a))))
+    assert len(BUNDLED) >= 13
+    for path in BUNDLED:
+        emitted.clear()
+        dfa, _, _ = load_program(open(path).read(), atomic=atomic)
+        assert emitted
+        assert all(ids == sorted(ids) for ids in emitted), path
+        assert minimize(dfa).n == dfa.n, path
+        assert dfa.n - len(dfa.live_states()) <= 1, path
+        assert [s.id for s in dfa.alphabet] == list(range(len(dfa.alphabet)))
 
 
 def test_dependence_same_thread():

@@ -1,3 +1,4 @@
+import os
 import random
 import time
 
@@ -5,9 +6,12 @@ import pytest
 
 from hyperweave import exprs, proofdb
 from hyperweave.automata import determinize
+from hyperweave.cegar import VerifyConfig, verify
 from hyperweave.exprs import FALSE, TRUE, atom_from_cmp, num, var
 from hyperweave.frontend import load_program
 from hyperweave.limits import ResourceLimit
+
+BENCH_DIR = os.path.join(os.path.dirname(__file__), "..", "benchmarks")
 
 
 def cmp(op, l, r):
@@ -27,12 +31,12 @@ def test_hoare_examples(solver):
     assume0, incr, _ = trace
     x0 = cmp("=", var("x"), num(0))
     x1 = cmp("=", var("x"), num(1))
-    assert proofdb.hoare_valid(x0, incr, x1, solver, cache)
-    assert not proofdb.hoare_valid(x1, incr, x1, solver, cache)
-    assert proofdb.hoare_valid(TRUE, assume0, x0, solver, cache)
+    assert proofdb.hoare_verdicts([(x0, incr, x1)], solver, cache)[0]
+    assert not proofdb.hoare_verdicts([(x1, incr, x1)], solver, cache)[0]
+    assert proofdb.hoare_verdicts([(TRUE, assume0, x0)], solver, cache)[0]
     lt = cmp("<", var("x"), num(0))
     dfa2, trace2 = single_trace("var x; assume(x < 0);", 1)
-    assert proofdb.hoare_valid(TRUE, trace2[0], lt, solver, cache)
+    assert proofdb.hoare_verdicts([(TRUE, trace2[0], lt)], solver, cache)[0]
 
 
 def test_hoare_cache_agrees_with_fresh_queries(solver):
@@ -46,10 +50,11 @@ def test_hoare_cache_agrees_with_fresh_queries(solver):
     for _ in range(60):
         pre, post = rng.choice(atoms), rng.choice(atoms)
         stmt = rng.choice(trace)
-        v1 = proofdb.hoare_valid(pre, stmt, post, solver, cache)
-        v2 = proofdb.hoare_valid(pre, stmt, post, solver, cache)
+        v1 = proofdb.hoare_verdicts([(pre, stmt, post)], solver, cache)[0]
+        v2 = proofdb.hoare_verdicts([(pre, stmt, post)], solver, cache)[0]
         assert v1 == v2
-        assert proofdb.hoare_valid(pre, stmt, post, solver, None) == v1
+        assert proofdb.hoare_verdicts([(pre, stmt, post)], solver,
+                                      None)[0] == v1
         triples.append((pre, stmt, post))
         verdicts.append(v1)
     # one call decides them all, with at most one solver query per triple
@@ -68,7 +73,8 @@ def test_hoare_verdicts_stop_between_batches_at_the_deadline():
     assert solver.num_queries == proofdb.SolverClient.BATCH
     verdicts = proofdb.hoare_verdicts(triples, solver)
     assert solver.num_queries > 2 * proofdb.SolverClient.BATCH
-    assert verdicts == [proofdb.hoare_valid(*t, solver, None) for t in triples]
+    assert verdicts == [proofdb.hoare_verdicts([t], solver, None)[0]
+                        for t in triples]
 
 
 def test_proof_nfa_trivial_pi(solver):
@@ -137,7 +143,8 @@ def test_interpolate_wp_spec_examples(solver):
     # middle assertion is x >= 0 or anything triple-valid
     assert len(chain2) == 3
     for i in range(2):
-        assert proofdb.hoare_valid(chain2[i], t2[i], chain2[i + 1], solver, cache)
+        assert proofdb.hoare_verdicts([(chain2[i], t2[i], chain2[i + 1])],
+                                      solver, cache)[0]
 
 
 def test_interpolate_farkas_chain_valid(solver):
@@ -154,7 +161,8 @@ def test_interpolate_farkas_chain_valid(solver):
     chain = proofdb.interpolate(list(trace), solver, engine="farkas", cache=cache)
     assert chain[0] == TRUE and chain[-1] == FALSE
     for i in range(len(trace)):
-        assert proofdb.hoare_valid(chain[i], trace[i], chain[i + 1], solver, cache)
+        assert proofdb.hoare_verdicts([(chain[i], trace[i], chain[i + 1])],
+                                      solver, cache)[0]
 
 
 def test_interpolate_on_feasible_trace_raises(solver):
@@ -192,3 +200,54 @@ def test_cache_counts_hits_and_misses():
     cache.put("k", True)
     assert cache.get("k") is True
     assert (cache.hits, cache.misses) == (1, 1)
+
+
+def _safe_run(name, atomic):
+    dfa, dep, _ = load_program(
+        open(os.path.join(BENCH_DIR, name + ".imp")).read(), atomic=atomic)
+    v = verify(dfa, dep, VerifyConfig(timeout=120))
+    assert v.verdict == "safe"
+    return dfa, v
+
+
+@pytest.mark.parametrize("name, atomic", [("parallel/simpleinc", False),
+                                          ("sequential/mult_dist", True)])
+def test_frame_triples_are_decided_by_implication(name, atomic):
+    # {f} s {f} with s writing no variable of f needs no rule of its own:
+    # wp(s, f) is f, or f inside a disjunction with negated guards
+    dfa, v = _safe_run(name, atomic)
+    framed = [(f, s) for f in v.proof for s in dfa.alphabet
+              if not s.writes & exprs.vars_of(f)]
+    assert len(framed) > len(dfa.alphabet)
+    for f, s in framed:
+        wp = proofdb.wp_stmt(s, f)
+        assert proofdb.syntactic_verdict(f, s, f, wp) is True, (f, s)
+
+
+@pytest.mark.parametrize("engine", ["farkas", "wp"])
+def test_interpolate_validates_a_chain_in_one_batch(monkeypatch, engine):
+    chains, batches = [], []
+    real_ok = proofdb._chain_ok
+    real_batch = proofdb.SolverClient.check_sat_batch
+
+    def chain_ok(chain, *args):
+        chains.append(chain)
+        return real_ok(chain, *args)
+
+    def check_sat_batch(self, queries, deadline=None):
+        batches.append(len(queries))
+        return real_batch(self, queries, deadline)
+    dfa, v = _safe_run("sequential/mult_dist", True)
+    monkeypatch.setattr(proofdb, "_chain_ok", chain_ok)
+    monkeypatch.setattr(proofdb.SolverClient, "check_sat_batch",
+                        check_sat_batch)
+    traces = [[dfa.alphabet[a] for a in w]
+              for r in v.rounds for w in r.counterexamples]
+    assert traces
+    with proofdb.SolverClient() as solver:
+        for trace in traces:
+            chains.clear()
+            batches.clear()
+            proofdb.interpolate(trace, solver, engine=engine)
+            assert len(batches) == len(chains) >= 1
+            assert max(batches) <= len(trace)
