@@ -110,15 +110,6 @@ class Dfa:
         return "\n".join(lines)
 
 
-def check_wellformed(dfa: Dfa):
-    assert 0 <= dfa.initial < dfa.n
-    assert all(0 <= q < dfa.n for q in dfa.finals)
-    k = len(dfa.alphabet)
-    for row in dfa.delta:
-        assert len(row) == k
-        assert all(0 <= t < dfa.n for t in row)
-
-
 def determinize(nfa: Nfa, alphabet=None, deadline: float | None = None) -> Dfa:
     """Subset construction; the empty macro-state is the completing sink.
 

@@ -93,7 +93,6 @@ class VerifyConfig:
     strategy: ac.Strategy = ac.Strategy("bpe", "rr")
     orders: OrderSource = PARTITION
     use_antichain: bool = True
-    solver_command: object = None
     timeout: float = 300.0
     interpolation: str = "farkas"
 
@@ -160,10 +159,9 @@ def verify(program: Dfa, dep, config: VerifyConfig | None = None):
 
     cache = proofdb.EntailmentCache()
     proof = proofdb.Proof()
-    solver = None
+    solver = proofdb.SolverClient()
 
     try:
-        solver = proofdb.SolverClient(cfg.solver_command)
         builder = proofdb.ProofNfaBuilder(program.alphabet, solver, cache,
                                           deadline)
         check = _checker(program, dep, cfg, deadline)
@@ -260,11 +258,10 @@ def verify(program: Dfa, dep, config: VerifyConfig | None = None):
         # the verdict shares this dict: every exit reports the same keys
         stats.update(proof_size=len(proof), rounds=len(rounds),
                      cache_entries=len(cache),
-                     solver_queries=0 if solver is None else solver.num_queries,
+                     solver_queries=solver.num_queries,
                      cache_hits=cache.hits, cache_misses=cache.misses,
                      revalidate_time=t_revalidate)
-        if solver is not None:
-            solver.close()
+        solver.close()
 
 
 def _revalidate(program: Dfa, dep, cfg: VerifyConfig, proof, edges,
@@ -278,7 +275,7 @@ def _revalidate(program: Dfa, dep, cfg: VerifyConfig, proof, edges,
     fs, stmts = proof.assertions, {s.id: s for s in program.alphabet}
     triples = [(fs[i], stmts[sid], fs[j]) for i, sid, j in edges]
     try:
-        with proofdb.SolverClient(cfg.solver_command) as solver:
+        with proofdb.SolverClient() as solver:
             verdicts = proofdb.hoare_verdicts(triples, solver,
                                               deadline=deadline)
     except proofdb.SolverError:

@@ -50,7 +50,6 @@ def _build_config(options: dict) -> cegar.VerifyConfig:
         strategy=Strategy.parse(options.get("strategy", "bpe-rr")),
         orders=LINEAR if options.get("orders") == "linear" else PARTITION,
         use_antichain=options.get("antichain", "on") == "on",
-        solver_command=options.get("solver"),
         timeout=float(options.get("timeout", 120)),
         interpolation=options.get("interpolation", "farkas"),
     )
@@ -114,13 +113,13 @@ def _write_stats(path: str, verdict):
             fh.write(json.dumps(rec.as_dict()) + "\n")
 
 
-def _final_proof_dfa(verdict, dfa, solver_command):
+def _final_proof_dfa(verdict, dfa):
     """The safe proof's automaton, re-proved by a fresh solver, as a
     LazyDfa: printing it expands only the rows it prints."""
     if verdict.verdict != "safe":
         return None
     proof = proofdb.Proof(verdict.proof)
-    with proofdb.SolverClient(solver_command) as solver:
+    with proofdb.SolverClient() as solver:
         nfa = proofdb.build_proof_nfa(proof, dfa.alphabet, solver)
     return LazyDfa(nfa, dfa.alphabet)
 
@@ -183,7 +182,7 @@ def cmd_verify(args) -> int:
             fh.write(dfa.to_dot("program"))
     if args.check_dependence:
         try:
-            with proofdb.SolverClient(args.solver) as solver:
+            with proofdb.SolverClient() as solver:
                 bad = check_dependence_soundness(dfa, dep, solver)
         except proofdb.SolverError as e:
             print(f"error: {e}", file=sys.stderr)
@@ -200,7 +199,7 @@ def cmd_verify(args) -> int:
         api = None
         if verdict.verdict == "safe" and not args.no_proof_dfa:
             try:
-                api = _final_proof_dfa(verdict, dfa, args.solver)
+                api = _final_proof_dfa(verdict, dfa)
             except proofdb.SolverError:
                 api = None
         _print_text(verdict, api)
@@ -328,8 +327,6 @@ def make_parser() -> argparse.ArgumentParser:
                     default="partition")
     pv.add_argument("--antichain", choices=["on", "off"], default="on")
     pv.add_argument("--atomic-blocks", action="store_true")
-    pv.add_argument("--solver", default=None,
-                    help="solver command (default: bundled; env HYPERWEAVE_SOLVER)")
     pv.add_argument("--timeout", type=float, default=300.0)
     pv.add_argument("--stats", default=None, help="write per-round JSONL here")
     pv.add_argument("--format", choices=["text", "json"], default="text")

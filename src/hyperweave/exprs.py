@@ -363,35 +363,3 @@ def fmt(f) -> str:
         return _fmt_term(f[1], f[2], "!=")
     sep = " && " if tag == "and" else " || "
     return "(" + sep.join(fmt(g) for g in f[1]) + ")"
-
-
-def _smt_sum(coeffs, k: int) -> str:
-    parts = []
-    for v, a in coeffs:
-        if a == 1:
-            parts.append(v)
-        elif a == -1:
-            parts.append(f"(- {v})")
-        else:
-            parts.append(f"(* {a} {v})" if a >= 0 else f"(* (- {abs(a)}) {v})")
-    if k != 0 or not parts:
-        parts.append(str(k) if k >= 0 else f"(- {abs(k)})")
-    if len(parts) == 1:
-        return parts[0]
-    return "(+ " + " ".join(parts) + ")"
-
-
-def to_smt(f) -> str:
-    tag = f[0]
-    if tag == "true":
-        return "true"
-    if tag == "false":
-        return "false"
-    if tag == "le":
-        return f"(<= {_smt_sum(f[1], f[2])} 0)"
-    if tag == "eq":
-        return f"(= {_smt_sum(f[1], f[2])} 0)"
-    if tag == "ne":
-        return f"(not (= {_smt_sum(f[1], f[2])} 0))"
-    op = "and" if tag == "and" else "or"
-    return f"({op} " + " ".join(to_smt(g) for g in f[1]) + ")"

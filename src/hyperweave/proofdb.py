@@ -1,24 +1,16 @@
 """Assertions, Hoare triples, the proof NFA, feasibility, interpolation.
 
-All solver contact goes through one ``SolverClient``.  By default it solves
-in this process with ``lia``; given a command (``--solver`` /
-``HYPERWEAVE_SOLVER``) it drives an SMT-LIB v2 child process instead, e.g.
-``z3 -in`` or the bundled ``python -m hyperweave.smtserver``.  Entailment
-verdicts are cached across refinement rounds.  ``hoare_verdicts`` is the
-one place that decides Hoare triples: the proof NFA's edges and each
-interpolation chain (all its triples in one batch, through the same cache)
-go through it, so a generation bug can never produce an unsound proof
-automaton.
+All solver contact goes through one ``SolverClient``, which solves in this
+process with ``lia``.  Entailment verdicts are cached across refinement
+rounds.  ``hoare_verdicts`` is the one place that decides Hoare triples: the
+proof NFA's edges and each interpolation chain (all its triples in one
+batch, through the same cache) go through it, so a generation bug can never
+produce an unsound proof automaton.
 """
 
 from __future__ import annotations
 
-import os
-import select
-import shlex
-import subprocess
 import sys
-import time
 from dataclasses import dataclass
 from math import lcm
 
@@ -30,50 +22,20 @@ from .limits import check_deadline
 
 
 class SolverError(Exception):
-    """Solver unavailable, crashed, or answered unknown."""
+    """The solver answered unknown or could not handle a formula."""
 
 
 # What lia and exprs raise on formulas they cannot handle.
 _LIA_ERRORS = (ValueError, exprs.NonlinearError, OverflowError, RecursionError)
-SOLVER_TIMEOUT = 60.0              # seconds a solver child may take per answer
 
 
 class SolverClient:
-    """Satisfiability of conjunctions of canonical formulas.
+    """Satisfiability of conjunctions of canonical formulas, solved in this
+    process by ``lia.solve_formula``.  An ``unknown`` answer or a solver
+    fault raises SolverError."""
 
-    Without a command (and without ``HYPERWEAVE_SOLVER``) every query is
-    solved in this process by ``lia.solve_formula``.  With one, a single
-    long-lived SMT-LIB v2 process answers it, one push/pop scope per query.
-    Either way an ``unknown`` answer or a solver fault raises SolverError.
-    """
-
-    def __init__(self, command=None):
-        if command is None:
-            command = os.environ.get("HYPERWEAVE_SOLVER") or None
-        if isinstance(command, str):
-            command = shlex.split(command)
-        self.command = command
+    def __init__(self):
         self.num_queries = 0
-        self.proc = None
-        if command is None:
-            return
-        env = None
-        if "hyperweave.smtserver" in command:
-            # the bundled server must find this package even when it is not
-            # installed (tests running from a source tree)
-            pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-            env = dict(os.environ)
-            env["PYTHONPATH"] = pkg_root + os.pathsep + env.get("PYTHONPATH", "")
-        try:
-            self.proc = subprocess.Popen(
-                command, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                stderr=subprocess.DEVNULL, bufsize=0, env=env)
-        except OSError as e:
-            raise SolverError(f"cannot start solver {command!r}: {e}") from e
-        self._buf = b""
-        self._send("(set-logic QF_LIA)")
-
-    # ---- in-process backend
 
     @staticmethod
     def _solve(formulas):
@@ -85,72 +47,16 @@ class SolverClient:
             raise SolverError(f"solver answered {res!r} on: {_detail(formulas)}")
         return res, model
 
-    # ---- SMT-LIB v2 child backend
-
-    def _send(self, line: str):
-        try:
-            self.proc.stdin.write((line + "\n").encode())
-            self.proc.stdin.flush()
-        except (BrokenPipeError, OSError, ValueError) as e:
-            raise SolverError(f"solver process died: {e}") from e
-
-    def _read_line(self) -> str:
-        deadline = time.monotonic() + SOLVER_TIMEOUT
-        fd = self.proc.stdout.fileno()
-        while b"\n" not in self._buf:
-            remain = deadline - time.monotonic()
-            if remain <= 0:
-                self.proc.kill()
-                raise SolverError("solver timeout")
-            ready, _, _ = select.select([fd], [], [], remain)
-            if not ready:
-                continue
-            chunk = os.read(fd, 65536)
-            if not chunk:
-                raise SolverError("solver closed its output")
-            self._buf += chunk
-        line, _, self._buf = self._buf.partition(b"\n")
-        return line.decode().strip()
-
-    def _read_sexpr(self) -> str:
-        text = self._read_line()
-        while text.count("(") > text.count(")"):
-            text += " " + self._read_line()
-        return text
-
-    def _read_answer(self, formulas) -> str:
-        res = self._read_line()
-        if res not in ("sat", "unsat"):
-            raise SolverError(f"solver answered {res!r} on: {_detail(formulas)}")
-        return res
-
-    # ---- the interface
-
     def check_sat(self, formulas, get_model: bool = False):
         """Returns ('sat', model|None) / ('unsat', None); raises on unknown."""
         self.num_queries += 1
-        if self.proc is None:
-            res, model = self._solve(formulas)
-            return res, (model if get_model else None)
-        self._send("\n".join(["(push 1)", *_smt_query(formulas)]))
-        try:
-            res = self._read_answer(formulas)
-            model = None
-            if res == "sat" and get_model:
-                self._send("(get-model)")
-                model = _parse_model(self._read_sexpr())
-            return res, model
-        finally:
-            try:
-                self._send("(pop 1)")
-            except SolverError:
-                pass
+        res, model = self._solve(formulas)
+        return res, (model if get_model else None)
 
     BATCH = 400
 
     def check_sat_batch(self, queries, deadline: float | None = None) -> list:
-        """Satisfiability of many conjunctions (no models), pipelined when a
-        child process answers.
+        """Satisfiability of many conjunctions (no models).
 
         queries: list of formula lists; returns 'sat'/'unsat' per entry.
         They go in chunks of BATCH; between chunks, a passed deadline raises
@@ -162,29 +68,11 @@ class SolverClient:
                 check_deadline(deadline)
             chunk = queries[lo: lo + self.BATCH]
             self.num_queries += len(chunk)
-            if self.proc is None:
-                out.extend(self._solve(formulas)[0] for formulas in chunk)
-                continue
-            lines = []
-            for formulas in chunk:
-                lines.append("(push 1)")
-                lines.extend(_smt_query(formulas))
-                lines.append("(pop 1)")
-            self._send("\n".join(lines))
-            out.extend(self._read_answer(formulas) for formulas in chunk)
+            out.extend(self._solve(formulas)[0] for formulas in chunk)
         return out
 
     def close(self):
-        if self.proc is None:
-            return
-        try:
-            self._send("(exit)")
-        except SolverError:
-            pass
-        try:
-            self.proc.wait(timeout=2)
-        except subprocess.TimeoutExpired:
-            self.proc.kill()
+        """Nothing to release; kept so that ``with SolverClient()`` works."""
 
     def __enter__(self):
         return self
@@ -193,41 +81,8 @@ class SolverClient:
         self.close()
 
 
-def _smt_query(formulas) -> list[str]:
-    """Declarations, assertions and check-sat for one query, as SMT-LIB lines."""
-    names = set()
-    for f in formulas:
-        names |= exprs.vars_of(f)
-    return ([f"(declare-const {v} Int)" for v in sorted(names)]
-            + [f"(assert {exprs.to_smt(f)})" for f in formulas]
-            + ["(check-sat)"])
-
-
 def _detail(formulas) -> str:
     return "; ".join(exprs.fmt(f) for f in formulas)[:500]
-
-
-def _parse_model(text: str) -> dict:
-    from .smtserver import parse_sexprs
-
-    model = {}
-    for item in parse_sexprs(text):
-        stack = [item]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, list):
-                if len(node) >= 5 and node[0] == "define-fun":
-                    name, val = node[1], node[4]
-                    if isinstance(val, list) and val and val[0] == "-":
-                        model[name] = -int(val[1])
-                    else:
-                        try:
-                            model[name] = int(val)
-                        except (TypeError, ValueError):
-                            pass
-                else:
-                    stack.extend(node)
-    return model
 
 
 # ----------------------------------------------------------------- wp / sp

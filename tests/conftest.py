@@ -22,6 +22,16 @@ def solver():
     client.close()
 
 
+def check_wellformed(dfa: Dfa):
+    """Every state index of dfa is in range and every row is complete."""
+    assert 0 <= dfa.initial < dfa.n
+    assert all(0 <= q < dfa.n for q in dfa.finals)
+    k = len(dfa.alphabet)
+    for row in dfa.delta:
+        assert len(row) == k
+        assert all(0 <= t < dfa.n for t in row)
+
+
 def random_dfa(rng: random.Random, max_states: int, k: int,
                final_p: float = 0.4) -> Dfa:
     n = rng.randint(1, max_states)

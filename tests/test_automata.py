@@ -4,11 +4,11 @@ import random
 import pytest
 
 from hyperweave.automata import (AlphabetError, Dfa, LazyDfa, Nfa,
-                                 check_wellformed, determinize, equivalent,
+                                 determinize, equivalent,
                                  first_difference_trace, from_words, minimize,
                                  shuffle)
 from hyperweave.limits import ResourceLimit
-from tests.conftest import random_nfa
+from tests.conftest import check_wellformed, random_nfa
 
 
 def nfa_accepts(nfa: Nfa, word) -> bool:

@@ -249,14 +249,13 @@ def test_cache_counters_reported():
     assert v.stats["cache_misses"] >= v.stats["cache_entries"]
 
 
-def test_solver_failure_is_unknown():
+def test_solver_env_var_is_ignored(monkeypatch):
     dfa, dep, _ = load_program(SIMPLEINC)
-    v = verify(dfa, dep, VerifyConfig(timeout=30,
-                                      solver_command="/does/not/exist"))
-    assert v.verdict == "unknown"
-    assert "solver" in v.reason
-    assert v.stats["rounds"] == 0 and v.stats["proof_size"] == 2
-    assert v.stats["cache_entries"] == 0 and v.stats["solver_queries"] == 0
+    safe = verify(dfa, dep, VerifyConfig(timeout=60))
+    monkeypatch.setenv("HYPERWEAVE_SOLVER", "/does/not/exist")
+    v = verify(dfa, dep, VerifyConfig(timeout=60))
+    assert (safe.verdict, v.verdict) == ("safe", "safe")
+    assert v.stats["solver_queries"] == safe.stats["solver_queries"]
 
 
 def test_multi_counterexample_round():
@@ -279,11 +278,16 @@ def test_in_process_solver_fault_is_unknown(monkeypatch, fault):
             raise fault
         return fault
 
-    monkeypatch.setattr(lia, "solve_formula", solve_formula)
     dfa, dep, _ = load_program(SIMPLEINC)
+    safe = verify(dfa, dep, VerifyConfig(timeout=30))
+    assert safe.verdict == "safe"
+    monkeypatch.setattr(lia, "solve_formula", solve_formula)
     v = verify(dfa, dep, VerifyConfig(timeout=30))
     assert v.verdict == "unknown"
     assert "solver" in v.reason
+    assert set(v.stats) == set(safe.stats)
+    assert v.stats["rounds"] == len(v.rounds) == 0
+    assert v.stats["proof_size"] == 2
 
 
 UNSAFE = "var x, y; { x := x + 1; } || { y := y + 1; } assume(x = y);"

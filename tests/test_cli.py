@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from hyperweave import cegar, proofdb
+from hyperweave import cegar, lia, proofdb
 from hyperweave.antichain import check
 from hyperweave.automata import determinize
 from hyperweave.cli import (_final_proof_dfa, _print_text, formula_from_json,
@@ -54,10 +54,24 @@ def test_parse_error_exit(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_unknown_exit(tmpfiles, capsys):
+def test_unknown_exit(tmpfiles, capsys, monkeypatch):
     _, safe, _ = tmpfiles
-    assert main(["verify", safe, "--solver", "/does/not/exist"]) == 2
-    capsys.readouterr()
+    monkeypatch.setattr(lia, "solve_formula", lambda f: ("unknown", None))
+    assert main(["verify", safe]) == 2
+    assert "solver" in capsys.readouterr().out
+
+
+def test_no_solver_flag(tmpfiles, capsys):
+    _, safe, _ = tmpfiles
+    assert main(["verify", safe, "--solver", "z3"]) == 64
+    assert "--solver" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_subprocess():
+    code = "import sys, hyperweave.cli; print('subprocess' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=child_env())
+    assert proc.stdout.strip() == "False", proc.stderr
 
 
 def test_json_output_roundtrips(tmpfiles, capsys, solver):
@@ -100,7 +114,7 @@ def test_text_proof_automaton_equals_full_determinization(
     dfa, dep, _ = load_program(source, atomic=atomic)
     verdict = cegar.verify(dfa, dep, cegar.VerifyConfig(timeout=60))
     assert verdict.verdict == "safe"
-    api = _final_proof_dfa(verdict, dfa, None)
+    api = _final_proof_dfa(verdict, dfa)
     _print_text(verdict, api)
     out = capsys.readouterr().out.splitlines()
     start = out.index("proof automaton (determinized):") + 1

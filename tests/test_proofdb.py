@@ -67,7 +67,7 @@ def test_hoare_verdicts_stop_between_batches_at_the_deadline():
     _, trace = single_trace("var x, y; x := x + y; assume(y > 0); y := 0;", 3)
     bounds = [cmp("<=", var("x"), num(i)) for i in range(25)]
     triples = [(pre, trace[0], post) for pre in bounds for post in bounds]
-    solver = proofdb.SolverClient(None)
+    solver = proofdb.SolverClient()
     with pytest.raises(ResourceLimit, match="timeout"):
         proofdb.hoare_verdicts(triples, solver, deadline=time.monotonic() - 1)
     assert solver.num_queries == proofdb.SolverClient.BATCH
