@@ -249,6 +249,28 @@ def test_cache_counters_reported():
     assert v.stats["cache_misses"] >= v.stats["cache_entries"]
 
 
+def test_solver_failure_is_unknown(monkeypatch):
+    calls = []
+
+    def solve_formula(f):
+        calls.append(f)
+        raise ValueError("solver down")
+
+    monkeypatch.setattr(lia, "solve_formula", solve_formula)
+    dfa, dep, _ = load_program(SIMPLEINC)
+    v = verify(dfa, dep, VerifyConfig(timeout=30))
+    assert v.verdict == "unknown"
+    assert "solver" in v.reason
+    # the run stops at the first formula the solver sees, before any round
+    assert len(calls) == 1
+    assert v.stats["rounds"] == 0 and v.stats["proof_size"] == 2
+    assert v.stats["solver_queries"] > 0
+    # each cache miss is decided syntactically (and cached) or queued for
+    # the solver, whose batch fails before any answer enters the cache
+    assert v.stats["cache_entries"] == (v.stats["cache_misses"]
+                                        - v.stats["solver_queries"])
+
+
 def test_solver_env_var_is_ignored(monkeypatch):
     dfa, dep, _ = load_program(SIMPLEINC)
     safe = verify(dfa, dep, VerifyConfig(timeout=60))
