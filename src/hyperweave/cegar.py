@@ -60,6 +60,7 @@ class Safe:
     proof: list                    # assertion formulas (canonical)
     rounds: list
     stats: dict
+    edges: int                     # the confirmed edges, proofdb.pack_edges
 
     verdict = "safe"
 
@@ -193,13 +194,14 @@ def verify(program: Dfa, dep, config: VerifyConfig | None = None):
                 record([], [])
                 t0 = time.monotonic()
                 try:
-                    valid = _revalidate(program, dep, cfg, proof,
+                    edges = _revalidate(program, dep, cfg, proof,
                                         builder.edges, deadline)
                 finally:
                     t_revalidate = time.monotonic() - t0
-                if not valid:
+                if edges is None:
                     return Unknown("revalidation failed", rounds, stats)
-                return Safe(list(proof), rounds, stats)
+                return Safe(list(proof), rounds, stats, proofdb.pack_edges(
+                    edges, program.alphabet, len(proof)))
 
             t0 = time.monotonic()
             if cfg.strategy.kind == "naive":
@@ -265,12 +267,12 @@ def verify(program: Dfa, dep, config: VerifyConfig | None = None):
 
 
 def _revalidate(program: Dfa, dep, cfg: VerifyConfig, proof, edges,
-                deadline) -> bool:
+                deadline) -> list | None:
     """Independent re-check of the proof by its edges: a fresh solver, with
     no shared cache, re-proves each edge, and a fresh checker (with its own
     memo: nothing the loop's checks computed) must find the NFA of the
-    confirmed edges covering (a missing edge only shrinks it).  Past the
-    deadline it raises ResourceLimit('timeout')."""
+    confirmed edges covering (a missing edge only shrinks it).  Returns them,
+    or None on failure; past the deadline raises ResourceLimit('timeout')."""
     edges = sorted(edges)
     fs, stmts = proof.assertions, {s.id: s for s in program.alphabet}
     triples = [(fs[i], stmts[sid], fs[j]) for i, sid, j in edges]
@@ -279,10 +281,10 @@ def _revalidate(program: Dfa, dep, cfg: VerifyConfig, proof, edges,
             verdicts = proofdb.hoare_verdicts(triples, solver,
                                               deadline=deadline)
     except proofdb.SolverError:
-        return False
-    nfa = proofdb.proof_nfa(proof, program.alphabet,
-                            [e for e, valid in zip(edges, verdicts) if valid])
-    return _checker(program, dep, cfg, deadline)(nfa)[0]
+        return None
+    confirmed = [e for e, valid in zip(edges, verdicts) if valid]
+    nfa = proofdb.proof_nfa(len(proof), program.alphabet, confirmed)
+    return confirmed if _checker(program, dep, cfg, deadline)(nfa)[0] else None
 
 
 def progress_audit(rounds) -> bool:

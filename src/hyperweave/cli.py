@@ -7,6 +7,7 @@ Exit codes of bench: 0 when every row matches its .expect, 1 otherwise.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -46,21 +47,26 @@ def formula_from_json(obj):
 def _build_config(options: dict) -> cegar.VerifyConfig:
     """The VerifyConfig named by option strings, keyed as in a .expect file
     and as verify's flags; an absent key takes the .expect default."""
+    timeout = float(options.get("timeout", 120))
+    if not 0 < timeout < float("inf"):     # also false for nan
+        raise ValueError(f"timeout must be finite and positive, not {timeout}")
     return cegar.VerifyConfig(
         strategy=Strategy.parse(options.get("strategy", "bpe-rr")),
         orders=LINEAR if options.get("orders") == "linear" else PARTITION,
         use_antichain=options.get("antichain", "on") == "on",
-        timeout=float(options.get("timeout", 120)),
+        timeout=timeout,
         interpolation=options.get("interpolation", "farkas"),
     )
 
 
-def _verdict_json(verdict) -> dict:
+def _verdict_json(verdict, alphabet) -> dict:
     out = {"verdict": verdict.verdict, "stats": verdict.stats,
            "rounds": [r.as_dict() for r in verdict.rounds]}
     if verdict.verdict == "safe":
         out["proof"] = [{"display": exprs.fmt(f), "formula": formula_to_json(f)}
                         for f in verdict.proof]
+        out["edges"] = sorted(map(list, proofdb.unpack_edges(
+            verdict.edges, alphabet, len(verdict.proof))))
     elif verdict.verdict == "unsafe":
         out["trace"] = [s.display for s in verdict.trace]
         out["trace_ids"] = [s.id for s in verdict.trace]
@@ -70,14 +76,18 @@ def _verdict_json(verdict) -> dict:
     return out
 
 
-def _print_text(verdict, api=None):
+def _print_text(verdict, alphabet=None):
+    """With alphabet given, a safe verdict's automaton is printed too."""
     print(f"verdict: {verdict.verdict.upper()}")
     if verdict.verdict == "safe":
-        print(f"proof size: {len(verdict.proof)}")
+        n = len(verdict.proof)
+        print(f"proof size: {n}")
         print("assertions:")
         for i, f in enumerate(verdict.proof):
             print(f"  [{i}] {exprs.fmt(f)}")
-        if api is not None:
+        if alphabet is not None:
+            edges = proofdb.unpack_edges(verdict.edges, alphabet, n)
+            api = LazyDfa(proofdb.proof_nfa(n, alphabet, edges), alphabet)
             # rows in numbering order (dead ones too: expanding a row
             # numbers its targets), built only up to the line cap
             print("proof automaton (determinized):")
@@ -111,17 +121,6 @@ def _write_stats(path: str, verdict):
     with open(path, "w") as fh:
         for rec in verdict.rounds:
             fh.write(json.dumps(rec.as_dict()) + "\n")
-
-
-def _final_proof_dfa(verdict, dfa):
-    """The safe proof's automaton, re-proved by a fresh solver, as a
-    LazyDfa: printing it expands only the rows it prints."""
-    if verdict.verdict != "safe":
-        return None
-    proof = proofdb.Proof(verdict.proof)
-    with proofdb.SolverClient() as solver:
-        nfa = proofdb.build_proof_nfa(proof, dfa.alphabet, solver)
-    return LazyDfa(nfa, dfa.alphabet)
 
 
 def check_dependence_soundness(dfa, dep, solver) -> list:
@@ -168,7 +167,8 @@ def _commutes(a, b, solver) -> bool:
 def cmd_verify(args) -> int:
     cfg = _build_config(vars(args))
     try:
-        text = open(args.file).read()
+        with open(args.file) as fh:
+            text = fh.read()
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
@@ -194,31 +194,28 @@ def cmd_verify(args) -> int:
     if args.stats:
         _write_stats(args.stats, verdict)
     if args.format == "json":
-        print(json.dumps(_verdict_json(verdict), indent=2))
+        print(json.dumps(_verdict_json(verdict, dfa.alphabet), indent=2))
     else:
-        api = None
-        if verdict.verdict == "safe" and not args.no_proof_dfa:
-            try:
-                api = _final_proof_dfa(verdict, dfa)
-            except proofdb.SolverError:
-                api = None
-        _print_text(verdict, api)
+        _print_text(verdict, None if args.no_proof_dfa else dfa.alphabet)
     return {"safe": EXIT_SAFE, "unsafe": EXIT_UNSAFE}.get(verdict.verdict,
                                                           EXIT_UNKNOWN)
 
 
 def run_benchmark(path: str, overrides: dict | None = None):
     """Run one .imp benchmark with its .expect sidecar; returns a result row."""
-    text = open(path).read()
+    with open(path) as fh:
+        text = fh.read()
     expect_path = os.path.splitext(path)[0] + ".expect"
     expect: dict = {}
     if os.path.exists(expect_path):
-        expect = json.loads(open(expect_path).read())
+        with open(expect_path) as fh:
+            expect = json.load(fh)
     if overrides:
         expect = {**expect, **overrides}
+    cfg = _build_config(expect)
     t0 = time.monotonic()
     dfa, dep, _ = load_program(text, atomic=expect.get("atomic_blocks", False))
-    verdict = cegar.verify(dfa, dep, _build_config(expect))
+    verdict = cegar.verify(dfa, dep, cfg)
     total = time.monotonic() - t0
     row = {
         "name": os.path.splitext(os.path.basename(path))[0],
@@ -257,33 +254,32 @@ def cmd_bench(args) -> int:
                     cfg["antichain"] = e.strip()
                 matrix.append(cfg)
     rows = []
-    stats_fh = open(args.stats, "w") if args.stats else None
-    for path in paths:
-        for overrides in matrix:
-            tag = ",".join(f"{k}={v}" for k, v in overrides.items())
-            try:
-                row, verdict = run_benchmark(path, overrides or None)
-            except Exception as e:  # a broken benchmark must not kill the harness
-                rows.append({"name": os.path.basename(path), "group": "",
-                             "config": tag, "verdict": f"error: {e}",
-                             "expected": "", "ok": False, "proof_size": 0,
-                             "rounds": 0, "construction_time": 0,
-                             "checking_time": 0, "total_time": 0,
-                             "progress_ok": False})
-                continue
-            row["config"] = tag
-            rows.append(row)
-            flag = "" if row["ok"] else "  <-- MISMATCH"
-            label = row["name"] if not tag else f"{row['name']}[{tag}]"
-            print(f"{label:40s} {row['verdict']:8s} |Pi|={row['proof_size']:<4d} "
-                  f"rounds={row['rounds']:<3d} total={row['total_time']:.2f}s{flag}")
-            if stats_fh:
-                for rec in verdict.rounds:
-                    stats_fh.write(json.dumps({"benchmark": row["name"],
-                                               "config": tag,
-                                               **rec.as_dict()}) + "\n")
-    if stats_fh:
-        stats_fh.close()
+    stats = open(args.stats, "w") if args.stats else contextlib.nullcontext()
+    with stats as stats_fh:
+        for path in paths:
+            for overrides in matrix:
+                tag = ",".join(f"{k}={v}" for k, v in overrides.items())
+                try:
+                    row, verdict = run_benchmark(path, overrides or None)
+                except Exception as e:  # a broken benchmark must not kill the harness
+                    rows.append({"name": os.path.basename(path), "group": "",
+                                 "config": tag, "verdict": f"error: {e}",
+                                 "expected": "", "ok": False, "proof_size": 0,
+                                 "rounds": 0, "construction_time": 0,
+                                 "checking_time": 0, "total_time": 0,
+                                 "progress_ok": False})
+                    continue
+                row["config"] = tag
+                rows.append(row)
+                flag = "" if row["ok"] else "  <-- MISMATCH"
+                label = row["name"] if not tag else f"{row['name']}[{tag}]"
+                print(f"{label:40s} {row['verdict']:8s} |Pi|={row['proof_size']:<4d} "
+                      f"rounds={row['rounds']:<3d} total={row['total_time']:.2f}s{flag}")
+                if stats_fh:
+                    for rec in verdict.rounds:
+                        stats_fh.write(json.dumps({"benchmark": row["name"],
+                                                   "config": tag,
+                                                   **rec.as_dict()}) + "\n")
 
     groups: dict = {}
     for row in rows:

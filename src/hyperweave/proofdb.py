@@ -5,7 +5,8 @@ process with ``lia``.  Entailment verdicts are cached across refinement
 rounds.  ``hoare_verdicts`` is the one place that decides Hoare triples: the
 proof NFA's edges and each interpolation chain (all its triples in one
 batch, through the same cache) go through it, so a generation bug can never
-produce an unsound proof automaton.
+produce an unsound proof automaton.  A ``safe`` verdict carries its edges as
+one ``pack_edges`` int; rebuilding its automaton needs no solver.
 """
 
 from __future__ import annotations
@@ -173,7 +174,7 @@ def hoare_verdicts(triples, solver: SolverClient,
 # ------------------------------------------------------------------- proof
 
 class Proof:
-    """A finite deduplicated set of assertions, always containing true/false."""
+    """Deduplicated assertions: true at index 0, false at 1, then the rest."""
 
     def __init__(self, assertions=()):
         self.assertions: list = [TRUE, FALSE]
@@ -193,9 +194,6 @@ class Proof:
 
     def __iter__(self):
         return iter(self.assertions)
-
-    def index(self, f) -> int:
-        return self._index[f]
 
 
 class ProofNfaBuilder:
@@ -224,24 +222,34 @@ class ProofNfaBuilder:
                                   self.solver, self.cache, self.deadline)
         self.edges.update((i, stmt.id, j)
                           for (i, stmt, j), valid in zip(new, verdicts) if valid)
-        return proof_nfa(proof, self.alphabet, self.edges)
+        return proof_nfa(n, self.alphabet, self.edges)
 
 
-def proof_nfa(proof: Proof, alphabet, edges) -> Nfa:
-    """The proof NFA: one state per assertion of proof, one transition per
-    (pre index, statement id, post index) edge."""
+def proof_nfa(n: int, alphabet, edges) -> Nfa:
+    """The proof NFA of a Proof of n assertions: one state per assertion,
+    one transition per (pre index, statement id, post index) edge."""
     stmt_by_id = {s.id: s for s in alphabet}
     trans: dict = {}
     for (i, sid, j) in edges:
         trans.setdefault((i, stmt_by_id[sid]), set()).add(j)
-    return Nfa(len(proof), tuple(alphabet), trans, proof.index(TRUE),
-               {proof.index(FALSE)})
+    return Nfa(n, tuple(alphabet), trans, 0, {1})
 
 
-def build_proof_nfa(proof: Proof, alphabet, solver: SolverClient,
-                    cache: EntailmentCache | None = None) -> Nfa:
-    cache = cache if cache is not None else EntailmentCache()
-    return ProofNfaBuilder(alphabet, solver, cache).extend(proof)
+def pack_edges(edges, alphabet, n: int) -> int:
+    """(pre, stmt id, post) edges over n assertions as one int: bit
+    (pre * k + a) * n + post is the edge on alphabet[a] (k letters)."""
+    pos, k = {s.id: a for a, s in enumerate(alphabet)}, len(alphabet)
+    digits = bytearray(b"0" * (n * k * n + 1))
+    for i, sid, j in edges:
+        digits[(i * k + pos[sid]) * n + j] = ord("1")
+    return int(digits[::-1], 2)
+
+
+def unpack_edges(bits: int, alphabet, n: int) -> list:
+    """The edges of a pack_edges int, in bit order, read in one pass."""
+    k = len(alphabet)
+    return [(b // n // k, alphabet[b // n % k].id, b % n)
+            for b, d in enumerate(format(bits, "b")[::-1]) if d == "1"]
 
 
 # ------------------------------------------------------------- feasibility

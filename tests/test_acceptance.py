@@ -176,8 +176,9 @@ def test_criterion_6_antichain_speedup():
     v = verify(dfa, dep, VerifyConfig(timeout=120))
     assert v.verdict == "safe"
     with proofdb.SolverClient() as solver:
-        nfa = proofdb.build_proof_nfa(proofdb.Proof(v.proof), dfa.alphabet,
-                                      solver)
+        builder = proofdb.ProofNfaBuilder(dfa.alphabet, solver,
+                                          proofdb.EntailmentCache())
+        nfa = builder.extend(proofdb.Proof(v.proof))
     # the engine builds the proof DFA lazily, inside its timing
     assert check(dfa, LazyDfa(nfa, dfa.alphabet), dep, PARTITION).covered
     best_ac = min(_timed(lambda: check(dfa, LazyDfa(nfa, dfa.alphabet), dep,

@@ -188,7 +188,8 @@ def test_safe_proof_revalidates(solver):
     assert v.verdict == "safe"
     # the final proof re-passes an independent check from scratch
     proof = proofdb.Proof(v.proof)
-    nfa = proofdb.build_proof_nfa(proof, dfa.alphabet, solver)
+    nfa = proofdb.ProofNfaBuilder(dfa.alphabet, solver,
+                                  proofdb.EntailmentCache()).extend(proof)
     api = determinize(nfa, dfa.alphabet)
     from hyperweave.antichain import check
     assert check(dfa, api, dep, PARTITION).covered
@@ -342,7 +343,7 @@ def test_broken_invariant_is_unknown(monkeypatch, program, patch, reason):
 
 
 def test_failed_revalidation_is_unknown(monkeypatch):
-    monkeypatch.setattr(cegar, "_revalidate", lambda *a: False)
+    monkeypatch.setattr(cegar, "_revalidate", lambda *a: None)
     dfa, dep, _ = load_program(SIMPLEINC)
     v = verify(dfa, dep, VerifyConfig(timeout=60))
     assert v.verdict == "unknown"

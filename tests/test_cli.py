@@ -2,14 +2,16 @@ import json
 import os
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import pytest
 
-from hyperweave import cegar, lia, proofdb
+from hyperweave import cegar, cli, lia, proofdb
 from hyperweave.antichain import check
-from hyperweave.automata import determinize
-from hyperweave.cli import (_final_proof_dfa, _print_text, formula_from_json,
-                            formula_to_json, main, run_benchmark)
+from hyperweave.automata import LazyDfa, determinize
+from hyperweave.cli import (_print_text, formula_from_json, formula_to_json,
+                            main, run_benchmark)
 from hyperweave.frontend import load_program
 from hyperweave.reduction import PARTITION
 from tests.conftest import child_env
@@ -74,7 +76,17 @@ def test_cli_import_loads_no_subprocess():
     assert proc.stdout.strip() == "False", proc.stderr
 
 
-def test_json_output_roundtrips(tmpfiles, capsys, solver):
+def _full_reproof(dfa, proof):
+    """The proof NFA builder after deciding every triple over proof with a
+    fresh solver and cache."""
+    with proofdb.SolverClient() as fresh:
+        builder = proofdb.ProofNfaBuilder(dfa.alphabet, fresh,
+                                          proofdb.EntailmentCache())
+        nfa = builder.extend(proofdb.Proof(proof))
+    return builder, nfa
+
+
+def test_json_output_roundtrips(tmpfiles, capsys):
     _, safe, _ = tmpfiles
     assert main(["verify", safe, "--format", "json", "--timeout", "60"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -82,14 +94,76 @@ def test_json_output_roundtrips(tmpfiles, capsys, solver):
     # reparse the emitted proof and re-run the checker from scratch
     proof = proofdb.Proof([formula_from_json(a["formula"]) for a in data["proof"]])
     dfa, dep, _ = load_program(SAFE_SRC)
-    nfa = proofdb.build_proof_nfa(proof, dfa.alphabet, solver)
+    builder, nfa = _full_reproof(dfa, proof)
     api = determinize(nfa, dfa.alphabet)
     assert check(dfa, api, dep, PARTITION).covered
+    # the emitted edges: sorted, each re-proved by a fresh solver, covering
+    # on their own, and exactly the valid triples of the full re-proof
+    edges = [tuple(e) for e in data["edges"]]
+    assert edges == sorted(set(edges))
+    fs, stmts = proof.assertions, {s.id: s for s in dfa.alphabet}
+    with proofdb.SolverClient() as fresh:
+        assert all(proofdb.hoare_verdicts(
+            [(fs[i], stmts[sid], fs[j]) for i, sid, j in edges], fresh))
+    nfa = proofdb.proof_nfa(len(proof), dfa.alphabet, edges)
+    assert check(dfa, determinize(nfa, dfa.alphabet), dep, PARTITION).covered
+    assert set(edges) == builder.edges
 
 
-def _full_dfa_lines(dfa, proof, solver) -> list:
-    """The text printout's automaton lines, by the full subset construction."""
-    nfa = proofdb.build_proof_nfa(proofdb.Proof(proof), dfa.alphabet, solver)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_no_solver_call_after_verify(tmpfiles, capsys, monkeypatch, fmt):
+    _, safe, _ = tmpfiles
+    verify = cegar.verify
+
+    def verify_then_break_solver(*args):
+        verdict = verify(*args)
+
+        def broken(f):
+            raise ValueError("solver called after verify")
+        monkeypatch.setattr(lia, "solve_formula", broken)
+        return verdict
+    monkeypatch.setattr(cegar, "verify", verify_then_break_solver)
+    assert main(["verify", safe, "--format", fmt, "--timeout", "60"]) == 0
+    out = capsys.readouterr().out
+    if fmt == "text":
+        assert "proof automaton (determinized):" in out
+        assert " -> " in out
+    else:
+        assert json.loads(out)["edges"]
+
+
+@pytest.mark.parametrize("timeout", ["nan", "inf", "0", "-1"])
+def test_timeout_must_be_finite_and_positive(tmp_path, capsys, timeout):
+    (tmp_path / "p.imp").write_text(UNSAFE_SRC)
+    assert main(["verify", str(tmp_path / "p.imp"),
+                 "--timeout", timeout]) == 64
+    assert "timeout" in capsys.readouterr().err
+    # the same value in a .expect makes the bench row an error
+    (tmp_path / "p.expect").write_text(json.dumps(
+        {"verdict": "unsafe", "timeout": float(timeout)}))
+    out_prefix = str(tmp_path / "report")
+    assert main(["bench", str(tmp_path), "--out", out_prefix]) == 1
+    capsys.readouterr()
+    [row] = json.loads(Path(out_prefix + ".json").read_text())["rows"]
+    assert row["verdict"].startswith("error: timeout")
+
+
+def test_cli_closes_the_files_it_reads(tmp_path, capsys):
+    bench = os.path.join(os.path.dirname(__file__), "..", "benchmarks",
+                         "parallel")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["verify", os.path.join(bench, "simpleinc.imp")]) == 0
+        assert main(["bench", bench,
+                     "--stats", str(tmp_path / "rounds.jsonl")]) == 0
+    capsys.readouterr()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def _full_dfa_lines(dfa, proof) -> list:
+    """The text printout's automaton lines, by the full subset construction
+    of a full re-proof."""
+    _, nfa = _full_reproof(dfa, proof)
     api = determinize(nfa, dfa.alphabet)
     live = api.live_states()
     lines = []
@@ -107,20 +181,22 @@ MULT_DIST = os.path.join(os.path.dirname(__file__), "..", "benchmarks",
 
 
 @pytest.mark.parametrize("source, atomic", [
-    (SAFE_SRC, False), (open(MULT_DIST).read(), True)],
+    (SAFE_SRC, False), (Path(MULT_DIST).read_text(), True)],
     ids=["simpleinc", "mult_dist-atomic"])
 def test_text_proof_automaton_equals_full_determinization(
-        capsys, solver, source, atomic):
+        capsys, monkeypatch, source, atomic):
     dfa, dep, _ = load_program(source, atomic=atomic)
     verdict = cegar.verify(dfa, dep, cegar.VerifyConfig(timeout=60))
     assert verdict.verdict == "safe"
-    api = _final_proof_dfa(verdict, dfa)
-    _print_text(verdict, api)
+    built = []
+    monkeypatch.setattr(cli, "LazyDfa",
+                        lambda *a: built.append(LazyDfa(*a)) or built[-1])
+    _print_text(verdict, dfa.alphabet)
     out = capsys.readouterr().out.splitlines()
     start = out.index("proof automaton (determinized):") + 1
     end = next(i for i, line in enumerate(out) if line.startswith("rounds:"))
-    assert out[start:end] == _full_dfa_lines(dfa, verdict.proof, solver)
-    assert api.rows_built <= 200
+    assert out[start:end] == _full_dfa_lines(dfa, verdict.proof)
+    assert len(built) == 1 and built[0].rows_built <= 200
 
 
 def test_formula_json_identity():
@@ -135,7 +211,7 @@ def test_stats_file(tmpfiles, capsys):
     tmp, safe, _ = tmpfiles
     stats = os.path.join(str(tmp), "rounds.jsonl")
     assert main(["verify", safe, "--stats", stats, "--timeout", "60"]) == 0
-    lines = [json.loads(l) for l in open(stats)]
+    lines = [json.loads(l) for l in Path(stats).read_text().splitlines()]
     assert lines and all("proof_size" in l for l in lines)
     assert all(l["cells"] > 0 and l["api_rows"] > 0 for l in lines)
     assert all({"memo_hits", "solver_queries", "cache_hits", "extract_time",
@@ -148,7 +224,7 @@ def test_dump_program(tmpfiles, capsys):
     tmp, safe, _ = tmpfiles
     dot = os.path.join(str(tmp), "prog.dot")
     assert main(["verify", safe, "--dump-program", dot, "--timeout", "60"]) == 0
-    text = open(dot).read()
+    text = Path(dot).read_text()
     assert "->" in text and "label=" in text
     capsys.readouterr()
 
@@ -174,7 +250,7 @@ def test_bench_runs_and_flags_mismatches(tmp_path, capsys):
     assert main(["bench", str(tmp_path), "--out", out_prefix]) == 1
     printed = capsys.readouterr().out
     assert "MISMATCH" in printed
-    report = json.loads(open(out_prefix + ".json").read())
+    report = json.loads(Path(out_prefix + ".json").read_text())
     by_name = {r["name"]: r for r in report["rows"]}
     assert by_name["good"]["ok"] and not by_name["liar"]["ok"]
     assert os.path.exists(out_prefix + ".csv")

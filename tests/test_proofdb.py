@@ -81,7 +81,8 @@ def test_proof_nfa_trivial_pi(solver):
     # with only {true,false} an always-false assume is the one route to false
     dfa, dep, _ = load_program("var x; assume(x != x); x := 1;")
     proof = proofdb.Proof()
-    nfa = proofdb.build_proof_nfa(proof, dfa.alphabet, solver)
+    nfa = proofdb.ProofNfaBuilder(dfa.alphabet, solver,
+                                  proofdb.EntailmentCache()).extend(proof)
     contradiction = [s for s in dfa.alphabet if s.kind == "assume"][0]
     assign = [s for s in dfa.alphabet if s.kind == "assign"][0]
     ti, fi = 0, 1
@@ -95,9 +96,24 @@ def test_proof_nfa_trivial_pi(solver):
 
 def test_proof_nfa_true_never_final(solver):
     dfa, dep, _ = load_program("var x; x := 1;")
-    nfa = proofdb.build_proof_nfa(proofdb.Proof(), dfa.alphabet, solver)
+    builder = proofdb.ProofNfaBuilder(dfa.alphabet, solver,
+                                      proofdb.EntailmentCache())
+    nfa = builder.extend(proofdb.Proof())
     assert nfa.finals == {1}
     assert 0 not in nfa.finals
+
+
+def test_edges_pack_and_unpack():
+    dfa, _, _ = load_program("var x, y; x := 1; y := x; assume(x = y);")
+    rng = random.Random(7)
+    n, ids = 5, [s.id for s in dfa.alphabet]
+    every = [(i, sid, j) for i in range(n) for sid in ids for j in range(n)]
+    for size in (0, 1, len(every) // 2, len(every)):
+        edges = rng.sample(every, size)
+        bits = proofdb.pack_edges(edges, dfa.alphabet, n)
+        assert bits.bit_length() <= len(every)
+        assert sorted(proofdb.unpack_edges(bits, dfa.alphabet, n)) == \
+            sorted(edges)
 
 
 def test_proof_language_monotone(solver):
@@ -108,8 +124,9 @@ def test_proof_language_monotone(solver):
     chain = proofdb.interpolate(list(trace), solver, engine="wp", cache=cache)
     small = proofdb.Proof()
     big = proofdb.Proof(chain[1:-1])
-    nfa_small = proofdb.build_proof_nfa(small, dfa.alphabet, solver, cache)
-    nfa_big = proofdb.build_proof_nfa(big, dfa.alphabet, solver, cache)
+    nfa_small = proofdb.ProofNfaBuilder(dfa.alphabet, solver,
+                                        cache).extend(small)
+    nfa_big = proofdb.ProofNfaBuilder(dfa.alphabet, solver, cache).extend(big)
     d_small = determinize(nfa_small, dfa.alphabet)
     d_big = determinize(nfa_big, dfa.alphabet)
     for w in dfa.words_upto(3):
