@@ -199,8 +199,10 @@ class LazyDfa:
 
 
 def eliminate_epsilon(n: int, trans: dict, eps: dict, initial: int, finals: set, alphabet) -> Nfa:
-    """Fold epsilon edges into an epsilon-free Nfa."""
-    closure = {}
+    """Fold epsilon edges into an epsilon-free Nfa: state p gets the
+    out-edges of every state in its epsilon closure, each edge leading to
+    its target's closure."""
+    closure = []
     for q in range(n):
         seen = {q}
         stack = [q]
@@ -210,14 +212,15 @@ def eliminate_epsilon(n: int, trans: dict, eps: dict, initial: int, finals: set,
                 if r not in seen:
                     seen.add(r)
                     stack.append(r)
-        closure[q] = seen
-    out_trans: dict = {}
+        closure.append(seen)
+    out_edges: dict = {}        # q -> [(label, closure of q's targets)]
     for (q, label), targets in trans.items():
-        full = set()
-        for t in targets:
-            full |= closure[t]
-        for p in range(n):
-            if q in closure[p]:
+        full = set().union(*(closure[t] for t in targets))
+        out_edges.setdefault(q, []).append((label, full))
+    out_trans: dict = {}
+    for p in range(n):
+        for q in closure[p]:
+            for label, full in out_edges.get(q, ()):
                 out_trans.setdefault((p, label), set()).update(full)
     out_finals = {q for q in range(n) if closure[q] & finals}
     return Nfa(n, tuple(alphabet), out_trans, initial, out_finals)

@@ -2,6 +2,7 @@
 
 Exit codes of verify: 0 safe, 1 unsafe, 2 unknown, 64 usage error.
 Exit codes of bench: 0 when every row matches its .expect, 1 otherwise.
+Both exit 64 when a file they name cannot be read or written.
 """
 
 from __future__ import annotations
@@ -117,12 +118,6 @@ def _print_text(verdict, alphabet=None):
             print(f"{key}: {verdict.stats[key]}")
 
 
-def _write_stats(path: str, verdict):
-    with open(path, "w") as fh:
-        for rec in verdict.rounds:
-            fh.write(json.dumps(rec.as_dict()) + "\n")
-
-
 def check_dependence_soundness(dfa, dep, solver) -> list:
     """SMT check that every independent pair commutes; returns violations."""
     bad = []
@@ -166,12 +161,8 @@ def _commutes(a, b, solver) -> bool:
 
 def cmd_verify(args) -> int:
     cfg = _build_config(vars(args))
-    try:
-        with open(args.file) as fh:
-            text = fh.read()
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    with open(args.file) as fh:
+        text = fh.read()
     try:
         dfa, dep, ast = load_program(text, atomic=args.atomic_blocks)
     except (ParseError, exprs.NonlinearError) as e:
@@ -190,15 +181,28 @@ def cmd_verify(args) -> int:
         if bad:
             print(f"dependence unsound for pairs: {bad}", file=sys.stderr)
             return EXIT_UNKNOWN
-    verdict = cegar.verify(dfa, dep, cfg)
-    if args.stats:
-        _write_stats(args.stats, verdict)
+    # opened first, so that a bad path costs no verification
+    with open(args.stats, "w") if args.stats else contextlib.nullcontext() as stats_fh:
+        verdict = cegar.verify(dfa, dep, cfg)
+        if stats_fh:
+            for rec in verdict.rounds:
+                stats_fh.write(json.dumps(rec.as_dict()) + "\n")
     if args.format == "json":
         print(json.dumps(_verdict_json(verdict, dfa.alphabet), indent=2))
     else:
         _print_text(verdict, None if args.no_proof_dfa else dfa.alphabet)
     return {"safe": EXIT_SAFE, "unsafe": EXIT_UNSAFE}.get(verdict.verdict,
                                                           EXIT_UNKNOWN)
+
+
+# the keys a .expect file may hold; run_benchmark refuses any other
+EXPECT_KEYS = {"verdict", "strategy", "orders", "antichain", "timeout",
+               "interpolation", "atomic_blocks"}
+
+
+def _bench_row_id(path: str) -> dict:
+    return {"name": os.path.splitext(os.path.basename(path))[0],
+            "group": os.path.basename(os.path.dirname(path))}
 
 
 def run_benchmark(path: str, overrides: dict | None = None):
@@ -212,14 +216,16 @@ def run_benchmark(path: str, overrides: dict | None = None):
             expect = json.load(fh)
     if overrides:
         expect = {**expect, **overrides}
+    unknown = set(expect) - EXPECT_KEYS
+    if unknown:
+        raise ValueError(f"unknown .expect keys {sorted(unknown)}")
     cfg = _build_config(expect)
     t0 = time.monotonic()
     dfa, dep, _ = load_program(text, atomic=expect.get("atomic_blocks", False))
     verdict = cegar.verify(dfa, dep, cfg)
     total = time.monotonic() - t0
     row = {
-        "name": os.path.splitext(os.path.basename(path))[0],
-        "group": os.path.basename(os.path.dirname(path)),
+        **_bench_row_id(path),
         "verdict": verdict.verdict,
         "expected": expect.get("verdict", ""),
         "ok": verdict.verdict == expect.get("verdict", verdict.verdict),
@@ -262,20 +268,18 @@ def cmd_bench(args) -> int:
                 try:
                     row, verdict = run_benchmark(path, overrides or None)
                 except Exception as e:  # a broken benchmark must not kill the harness
-                    rows.append({"name": os.path.basename(path), "group": "",
-                                 "config": tag, "verdict": f"error: {e}",
-                                 "expected": "", "ok": False, "proof_size": 0,
-                                 "rounds": 0, "construction_time": 0,
-                                 "checking_time": 0, "total_time": 0,
-                                 "progress_ok": False})
-                    continue
+                    row, verdict = {**_bench_row_id(path), "verdict": f"error: {e}",
+                                    "expected": "", "ok": False, "proof_size": 0,
+                                    "rounds": 0, "construction_time": 0,
+                                    "checking_time": 0, "total_time": 0,
+                                    "progress_ok": False}, None
                 row["config"] = tag
                 rows.append(row)
                 flag = "" if row["ok"] else "  <-- MISMATCH"
                 label = row["name"] if not tag else f"{row['name']}[{tag}]"
                 print(f"{label:40s} {row['verdict']:8s} |Pi|={row['proof_size']:<4d} "
                       f"rounds={row['rounds']:<3d} total={row['total_time']:.2f}s{flag}")
-                if stats_fh:
+                if stats_fh and verdict is not None:
                     for rec in verdict.rounds:
                         stats_fh.write(json.dumps({"benchmark": row["name"],
                                                    "config": tag,
@@ -355,7 +359,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except ValueError as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

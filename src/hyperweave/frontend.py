@@ -7,8 +7,10 @@ thread/region, read and write sets, and a list of primitive operations (one
 for plain statements, several for fused atomic blocks).
 
 Each emitted DFA is normalized once, by ``minimize`` (which also merges its
-dead states); only a shuffle product gets the cheaper ``collapse_dead``.
-Emitted alphabets are in id order, so renumbering ids permutes no column.
+dead states).  A shuffle product is embedded in its parent fragment with
+only its live states.  Every statement, fused or not, takes its id from one
+counter, so emitted alphabets are in id order without ties, and renumbering
+ids permutes no column.
 """
 
 from __future__ import annotations
@@ -503,13 +505,15 @@ class _Fragment:
         self.eps.setdefault(u, set()).add(v)
 
     def embed_dfa(self, dfa: Dfa) -> tuple[int, set]:
-        """Copy a DFA into this fragment; returns (initial, finals)."""
-        base = self.n
-        self.n += dfa.n
-        for q, row in enumerate(dfa.delta):
-            for i, t in enumerate(row):
-                self.edge(base + q, dfa.alphabet[i], base + t)
-        return base + dfa.initial, {base + q for q in dfa.finals}
+        """Copy a DFA's initial and live states, and the edges between live
+        states, into this fragment; returns (initial, finals)."""
+        live = dfa.live_states()
+        ids = {q: self.state() for q in sorted(live | {dfa.initial})}
+        for q in live:
+            for label, t in zip(dfa.alphabet, dfa.delta[q]):
+                if t in live:
+                    self.edge(ids[q], label, ids[t])
+        return ids[dfa.initial], {ids[q] for q in dfa.finals}
 
 
 class _Lowerer:
@@ -607,12 +611,11 @@ class _Lowerer:
                 init, fins = self.compile(branch, region + ((par_id, bi),), sub)
                 dfa = self._to_dfa(sub, init, fins)
                 if self.atomic:
-                    dfa = minimize(fuse_chains(dfa))
+                    dfa = minimize(fuse_chains(dfa, self.counter))
                 branch_dfas.append(dfa)
             prod = branch_dfas[0]
             for d in branch_dfas[1:]:
                 prod = shuffle(prod, d)
-            prod = collapse_dead(prod)
             return frag.embed_dfa(prod)
         raise TypeError(node)
 
@@ -623,32 +626,13 @@ class _Lowerer:
         return minimize(determinize(nfa))
 
 
-def collapse_dead(dfa: Dfa) -> Dfa:
-    """Merge every state that cannot reach a final state into one sink."""
-    live = dfa.live_states()
-    if dfa.initial not in live:
-        # language is empty; keep a canonical 2-state automaton
-        return Dfa(dfa.alphabet, [[1] * len(dfa.alphabet), [1] * len(dfa.alphabet)],
-                   0, frozenset())
-    order = [q for q in range(dfa.n) if q in live]
-    remap = {q: i for i, q in enumerate(order)}
-    sink = len(order)
-    delta = []
-    for q in order:
-        delta.append([remap.get(t, sink) for t in dfa.delta[q]])
-    has_dead = any(t == sink for row in delta for t in row)
-    if has_dead:
-        delta.append([sink] * len(dfa.alphabet))
-    finals = frozenset(remap[q] for q in dfa.finals if q in remap)
-    return Dfa(dfa.alphabet, delta, remap[dfa.initial], finals)
-
-
-def fuse_chains(dfa: Dfa) -> Dfa:
+def fuse_chains(dfa: Dfa, counter) -> Dfa:
     """Fuse straight-line same-region statement chains into atomic blocks.
 
     An intermediate state is fused away when it is live, non-final, not
     initial, has exactly one live in-edge and one live out-edge, both edges'
     statements occur nowhere else, and both belong to the same region.
+    Fused statements take their ids from counter, the lowerer's id source.
     The result is complete, not minimal: every caller minimizes it.
     """
     live = dfa.live_states()
@@ -662,8 +646,6 @@ def fuse_chains(dfa: Dfa) -> Dfa:
                 st = dfa.alphabet[i]
                 edges.setdefault(q, []).append([st, t])
                 occur[st] = occur.get(st, 0) + 1
-
-    counter = itertools.count(max((s.id for s in dfa.alphabet), default=-1) + 1)
 
     def in_edges(v):
         return [(u, e) for u, es in edges.items() for e in es if e[1] == v]
@@ -723,7 +705,7 @@ def lower_to_dfa(ast: Ast, atomic: bool = False) -> Dfa:
     init, fins = lo.compile(ast.body, (), frag)
     dfa = lo._to_dfa(frag, init, fins)
     if atomic:
-        dfa = minimize(fuse_chains(dfa))
+        dfa = minimize(fuse_chains(dfa, lo.counter))
     # dense statement ids; the alphabet is already in id order
     for i, s in enumerate(dfa.alphabet):
         s.id = i

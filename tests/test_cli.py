@@ -160,6 +160,58 @@ def test_cli_closes_the_files_it_reads(tmp_path, capsys):
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("verify", "--stats"), ("verify", "--dump-program"),
+    ("bench", "--out"), ("bench", "--stats")])
+def test_unwritable_output_path_is_a_usage_error(tmpfiles, capsys, monkeypatch,
+                                                 command, flag):
+    tmp, _, unsafe = tmpfiles
+    verified = []
+    real_verify = cegar.verify
+    monkeypatch.setattr(cegar, "verify",
+                        lambda *a: verified.append(1) or real_verify(*a))
+    target = unsafe if command == "verify" else str(tmp)
+    missing = str(tmp / "no" / "such" / "dir" / "out")
+    assert main([command, target, flag, missing]) == 64
+    assert capsys.readouterr().err.startswith("error: ")
+    if flag == "--stats":
+        # the file is opened before the run, so a bad path costs no run
+        assert verified == []
+
+
+def test_bench_prints_error_rows_with_their_name_and_group(tmp_path, capsys):
+    group = tmp_path / "grp"
+    group.mkdir()
+    (group / "a.imp").write_text(UNSAFE_SRC)
+    (group / "a.expect").write_text('{"verdict": "unsafe", "timeout": NaN}')
+    (group / "b.imp").write_text(UNSAFE_SRC)
+    (group / "b.expect").write_text('{"verdict": "unsafe"}')
+    out_prefix = str(tmp_path / "report")
+    assert main(["bench", str(group), "--out", out_prefix]) == 1
+    printed = capsys.readouterr().out.splitlines()
+    [line] = [l for l in printed if l.startswith("a ")]
+    assert "error: timeout" in line and line.endswith("<-- MISMATCH")
+    report = json.loads(Path(out_prefix + ".json").read_text())
+    assert [(r["name"], r["group"]) for r in report["rows"]] == [
+        ("a", "grp"), ("b", "grp")]
+    [summary] = report["groups"]
+    assert summary["group"] == "grp" and summary["count"] == 2
+
+
+def test_bench_refuses_unknown_expect_keys(tmp_path, capsys):
+    # a misspelt key would otherwise be ignored: atomic-blocks for
+    # atomic_blocks ran non-atomic and matched
+    (tmp_path / "p.imp").write_text(UNSAFE_SRC)
+    (tmp_path / "p.expect").write_text(
+        '{"verdict": "unsafe", "atomic-blocks": true}')
+    with pytest.raises(ValueError, match="atomic-blocks"):
+        run_benchmark(str(tmp_path / "p.imp"))
+    assert main(["bench", str(tmp_path)]) == 1
+    [line] = [l for l in capsys.readouterr().out.splitlines()
+              if l.startswith("p ")]
+    assert "error: unknown .expect keys" in line and "MISMATCH" in line
+
+
 def _full_dfa_lines(dfa, proof) -> list:
     """The text printout's automaton lines, by the full subset construction
     of a full re-proof."""

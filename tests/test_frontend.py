@@ -159,7 +159,8 @@ BUNDLED = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..",
 def test_lowering_is_normalized_by_minimize_alone(monkeypatch, atomic):
     # lower_to_dfa merges dead states only through minimize and renumbers
     # statements without permuting columns: that needs every DFA _to_dfa
-    # and fuse_chains emit to list its statements in id order
+    # and fuse_chains emit to list its statements in id order, with no id
+    # twice (a tie would be ordered by set iteration)
     emitted = []                   # statement ids as each DFA is emitted
     real_fuse, real_to_dfa = frontend.fuse_chains, frontend._Lowerer._to_dfa
 
@@ -167,15 +168,17 @@ def test_lowering_is_normalized_by_minimize_alone(monkeypatch, atomic):
         emitted.append([s.id for s in dfa.alphabet])
         return dfa
     monkeypatch.setattr(frontend, "fuse_chains",
-                        lambda dfa: record(real_fuse(dfa)))
+                        lambda *a: record(real_fuse(*a)))
     monkeypatch.setattr(frontend._Lowerer, "_to_dfa",
                         staticmethod(lambda *a: record(real_to_dfa(*a))))
     assert len(BUNDLED) >= 13
     for path in BUNDLED:
         emitted.clear()
-        dfa, _, _ = load_program(open(path).read(), atomic=atomic)
+        with open(path) as fh:
+            dfa, _, _ = load_program(fh.read(), atomic=atomic)
         assert emitted
         assert all(ids == sorted(ids) for ids in emitted), path
+        assert all(len(set(ids)) == len(ids) for ids in emitted), path
         assert minimize(dfa).n == dfa.n, path
         assert dfa.n - len(dfa.live_states()) <= 1, path
         assert [s.id for s in dfa.alphabet] == list(range(len(dfa.alphabet)))
