@@ -288,7 +288,9 @@ class CheckEngine:
                 raise ResourceLimit("antichain fixpoint exceeded cell cap")
             self.cells[cell] = None
             self.archive[cell] = []
-            self.rdeps[cell] = set()
+            # parents in wiring order: a set's order would make the work
+            # depend on how the program's states are numbered
+            self.rdeps[cell] = []
             self.stats.cells += 1
             self._enqueue(cell)
 
@@ -314,7 +316,7 @@ class CheckEngine:
             for a in letters:
                 child = (rowp[a], rowpi[a])
                 self._materialize(child)
-                self.rdeps[child].add(cell)
+                self.rdeps[child].append(cell)
         k = self.k
         key = []
         for a in letters:

@@ -60,7 +60,9 @@ class Safe:
     proof: list                    # assertion formulas (canonical)
     rounds: list
     stats: dict
-    edges: int                     # the confirmed edges, proofdb.pack_edges
+    # the confirmed edges, proofdb.pack_edges; kept out of repr, since an
+    # int this long has more decimal digits than str() converts
+    edges: int = field(repr=False)
 
     verdict = "safe"
 

@@ -260,8 +260,13 @@ def cmd_bench(args) -> int:
                     cfg["antichain"] = e.strip()
                 matrix.append(cfg)
     rows = []
-    stats = open(args.stats, "w") if args.stats else contextlib.nullcontext()
-    with stats as stats_fh:
+    # every output file is opened before the first row, so that a bad path
+    # costs no run
+    with contextlib.ExitStack() as files:
+        stats_fh = files.enter_context(open(args.stats, "w")) if args.stats else None
+        if args.out:
+            json_fh = files.enter_context(open(args.out + ".json", "w"))
+            csv_fh = files.enter_context(open(args.out + ".csv", "w", newline=""))
         for path in paths:
             for overrides in matrix:
                 tag = ",".join(f"{k}={v}" for k, v in overrides.items())
@@ -285,27 +290,25 @@ def cmd_bench(args) -> int:
                                                    "config": tag,
                                                    **rec.as_dict()}) + "\n")
 
-    groups: dict = {}
-    for row in rows:
-        groups.setdefault(row["group"], []).append(row)
-    summary = []
-    for group, members in sorted(groups.items()):
-        n = len(members)
-        summary.append({
-            "group": group, "count": n,
-            "proof_size": round(sum(m["proof_size"] for m in members) / n, 1),
-            "rounds": round(sum(m["rounds"] for m in members) / n, 1),
-            "construction_time": round(sum(m["construction_time"] for m in members) / n, 3),
-            "checking_time": round(sum(m["checking_time"] for m in members) / n, 3),
-            "total_time": round(sum(m["total_time"] for m in members) / n, 3),
-            "all_ok": all(m["ok"] for m in members),
-        })
-    if args.out:
-        with open(args.out + ".json", "w") as fh:
-            json.dump({"rows": rows, "groups": summary}, fh, indent=2)
-        with open(args.out + ".csv", "w", newline="") as fh:
+        groups: dict = {}
+        for row in rows:
+            groups.setdefault(row["group"], []).append(row)
+        summary = []
+        for group, members in sorted(groups.items()):
+            n = len(members)
+            summary.append({
+                "group": group, "count": n,
+                "proof_size": round(sum(m["proof_size"] for m in members) / n, 1),
+                "rounds": round(sum(m["rounds"] for m in members) / n, 1),
+                "construction_time": round(sum(m["construction_time"] for m in members) / n, 3),
+                "checking_time": round(sum(m["checking_time"] for m in members) / n, 3),
+                "total_time": round(sum(m["total_time"] for m in members) / n, 3),
+                "all_ok": all(m["ok"] for m in members),
+            })
+        if args.out:
+            json.dump({"rows": rows, "groups": summary}, json_fh, indent=2)
             if rows:
-                w = csv.DictWriter(fh, fieldnames=list(rows[0]))
+                w = csv.DictWriter(csv_fh, fieldnames=list(rows[0]))
                 w.writeheader()
                 w.writerows(rows)
     matching = sum(1 for r in rows if r["ok"])

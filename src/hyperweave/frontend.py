@@ -6,6 +6,10 @@ branch DFAs.  Every statement in the final automaton is a Stmt carrying its
 thread/region, read and write sets, and a list of primitive operations (one
 for plain statements, several for fused atomic blocks).
 
+``tokenize`` matches one regular expression at each position; one walker,
+``_map_vars``, renames a copied block's variables and checks declarations;
+``fuse_chains`` fuses in one pass over the edges.
+
 Each emitted DFA is normalized once, by ``minimize`` (which also merges its
 dead states).  A shuffle product is embedded in its parent fragment with
 only its live states.  Every statement, fused or not, takes its id from one
@@ -15,7 +19,9 @@ ids permutes no column.
 
 from __future__ import annotations
 
+import collections
 import itertools
+import re
 from dataclasses import dataclass
 
 from . import exprs
@@ -75,56 +81,40 @@ class Ast:
 
 # ------------------------------------------------------------------ lexing
 
-_SYMBOLS = [":=", "||", "!=", "<=", ">=", "≠", "≤", "≥", "¬",
-            ";", ",", "(", ")", "{", "}", "+", "-", "*", "=", "<", ">", "!"]
 _KEYWORDS = {"var", "assume", "while", "if", "else", "block", "copy", "as", "sharing"}
+# one alternative per token kind; any character no other alternative takes
+# is "bad"
+_TOKEN = re.compile("|".join([
+    r"(?P<newline>\n)",
+    r"(?P<skip>[^\S\n]+|(?://|#)[^\n]*)",
+    r"(?P<sym>:=|\|\||!=|<=|>=|[≠≤≥¬;,(){}+\-*=<>!])",
+    r"(?P<num>\d+)",
+    r"(?P<word>[^\W\d]\w*)",
+    r"(?P<bad>.)",
+]))
 
 
 def tokenize(text: str):
+    """(value, line, col) tokens ending with eof; the column of a token is
+    its offset from the last newline, plus one."""
     tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c.isspace():
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i) or c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append((sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            if c.isdigit():
-                j = i
-                while j < n and text[j].isdigit():
-                    j += 1
-                tokens.append((("num", int(text[i:j])), line, col))
-                col += j - i
-                i = j
-            elif c.isalpha() or c == "_":
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                word = text[i:j]
-                tokens.append((word, line, col) if word in _KEYWORDS
-                              else ((("ident", word), line, col)))
-                col += j - i
-                i = j
-            else:
-                raise ParseError(f"unexpected character {c!r}", line, col)
-    tokens.append(("eof", line, col))
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind, value = m.lastgroup, m.group()
+        col = m.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "sym":
+            tokens.append((value, line, col))
+        elif kind == "num":
+            tokens.append((("num", int(value)), line, col))
+        elif kind == "word" and (value[0].isalpha() or value[0] == "_"):
+            # \w also takes numeric characters such as '½' that start no name
+            tokens.append((value if value in _KEYWORDS else ("ident", value),
+                           line, col))
+        elif kind != "skip":
+            raise ParseError(f"unexpected character {value[0]!r}", line, col)
+    tokens.append(("eof", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -296,12 +286,13 @@ class _Parser:
             raise ParseError(f"copy {k} needs {k} suffixes, got {len(suffixes)}", line, col)
         branches = []
         for suf in suffixes:
-            renames: dict[str, str] = {}
-            branch = _rename_seq(self.blocks[name], suf, shared, renames)
-            for old, new in renames.items():
-                if new not in self.variables:
-                    self.variables.append(new)
-            branches.append(branch)
+            def rename(v, line, suf=suf):
+                if v in shared:
+                    return v
+                if v + suf not in self.variables:
+                    self.variables.append(v + suf)
+                return v + suf
+            branches.append(_map_vars(self.blocks[name], rename))
         return Par(branches)
 
     def suffix(self) -> str:
@@ -329,85 +320,43 @@ class _Parser:
         return Ast(self.variables, Seq(items))
 
 
-def _rename_expr(e, suf: str, shared: set, renames: dict):
-    if e[0] == "var":
-        v = e[1]
-        if v in shared:
-            return e
-        renames[v] = v + suf
-        return ("var", v + suf)
-    if e[0] == "num":
-        return e
-    if e[0] in ("neg", "not"):
-        return (e[0], _rename_expr(e[1], suf, shared, renames))
-    if e[0] == "cmp":
-        return ("cmp", e[1], _rename_expr(e[2], suf, shared, renames),
-                _rename_expr(e[3], suf, shared, renames))
-    return (e[0], _rename_expr(e[1], suf, shared, renames),
-            _rename_expr(e[2], suf, shared, renames))
-
-
-def _rename_seq(node, suf: str, shared: set, renames: dict):
+def _map_vars(node, fn, line: int = 0):
+    """A copy of a statement or expression tree in which each variable v
+    becomes fn(v, line), called in source order; line is the statement's
+    line, 0 inside a while or if condition."""
+    if isinstance(node, tuple):
+        if node[0] == "var":
+            return ("var", fn(node[1], line))
+        return tuple(_map_vars(e, fn, line) if isinstance(e, tuple) else e
+                     for e in node)
     if isinstance(node, Seq):
-        return Seq([_rename_seq(i, suf, shared, renames) for i in node.items])
+        return Seq([_map_vars(i, fn) for i in node.items])
     if isinstance(node, Par):
-        return Par([_rename_seq(b, suf, shared, renames) for b in node.branches])
+        return Par([_map_vars(b, fn) for b in node.branches])
     if isinstance(node, While):
-        return While(_rename_expr(node.cond, suf, shared, renames),
-                     _rename_seq(node.body, suf, shared, renames))
+        return While(_map_vars(node.cond, fn), _map_vars(node.body, fn))
     if isinstance(node, If):
-        els = _rename_seq(node.els, suf, shared, renames) if node.els else None
-        return If(_rename_expr(node.cond, suf, shared, renames),
-                  _rename_seq(node.then, suf, shared, renames), els)
+        return If(_map_vars(node.cond, fn), _map_vars(node.then, fn),
+                  None if node.els is None else _map_vars(node.els, fn))
     if isinstance(node, Assign):
-        renames[node.var] = node.var if node.var in shared else node.var + suf
-        return Assign(renames[node.var],
-                      _rename_expr(node.expr, suf, shared, renames), node.line)
+        return Assign(fn(node.var, node.line),
+                      _map_vars(node.expr, fn, node.line), node.line)
     if isinstance(node, Assume):
-        return Assume(_rename_expr(node.cond, suf, shared, renames), node.line)
+        return Assume(_map_vars(node.cond, fn, node.line), node.line)
     raise TypeError(node)
 
 
-def _check_vars(node, declared: set):
-    if isinstance(node, Seq):
-        for i in node.items:
-            _check_vars(i, declared)
-    elif isinstance(node, Par):
-        for b in node.branches:
-            _check_vars(b, declared)
-    elif isinstance(node, While):
-        _expr_vars_ok(node.cond, declared)
-        _check_vars(node.body, declared)
-    elif isinstance(node, If):
-        _expr_vars_ok(node.cond, declared)
-        _check_vars(node.then, declared)
-        if node.els:
-            _check_vars(node.els, declared)
-    elif isinstance(node, Assign):
-        if node.var not in declared:
-            raise ParseError(f"undeclared variable {node.var!r}", node.line)
-        _expr_vars_ok(node.expr, declared, node.line)
-    elif isinstance(node, Assume):
-        _expr_vars_ok(node.cond, declared, node.line)
-
-
-def _expr_vars_ok(e, declared: set, line: int = 0):
-    if e[0] == "var":
-        if e[1] not in declared:
-            raise ParseError(f"undeclared variable {e[1]!r}", line)
-    elif e[0] in ("neg", "not"):
-        _expr_vars_ok(e[1], declared, line)
-    elif e[0] == "cmp":
-        _expr_vars_ok(e[2], declared, line)
-        _expr_vars_ok(e[3], declared, line)
-    elif e[0] in ("add", "sub", "mul"):
-        _expr_vars_ok(e[1], declared, line)
-        _expr_vars_ok(e[2], declared, line)
-
-
 def parse_program(text: str) -> Ast:
+    """Parse a program; every variable a statement of its body uses must be
+    declared by var or introduced by a copy."""
     ast = _Parser(text).program()
-    _check_vars(ast.body, set(ast.variables))
+    declared = set(ast.variables)
+
+    def check(v, line):
+        if v not in declared:
+            raise ParseError(f"undeclared variable {v!r}", line)
+        return v
+    _map_vars(ast.body, check)
     return ast
 
 
@@ -647,42 +596,30 @@ def fuse_chains(dfa: Dfa, counter) -> Dfa:
                 edges.setdefault(q, []).append([st, t])
                 occur[st] = occur.get(st, 0) + 1
 
-    def in_edges(v):
-        return [(u, e) for u, es in edges.items() for e in es if e[1] == v]
-
-    changed = True
-    while changed:
-        changed = False
-        for u in list(edges):
-            for e in edges.get(u, []):
+    # fusing u -> v -> w into u -> w keeps every other state's in-degree,
+    # and an edge that cannot absorb its target now never can later, so one
+    # pass in state and letter order finds every fusion
+    indeg = collections.Counter(t for es in edges.values() for _, t in es)
+    for u in list(edges):
+        for e in edges.get(u, ()):
+            while True:
                 st1, v = e
-                if v == dfa.initial or v in dfa.finals or v == u:
-                    continue
-                ins = in_edges(v)
-                outs = edges.get(v, [])
-                if len(ins) != 1 or len(outs) != 1:
-                    continue
-                st2, w = outs[0]
-                if st1.region != st2.region:
-                    continue
-                if occur[st1] != 1 or occur[st2] != 1:
-                    continue
-                if w == v:
-                    continue
+                if (v == dfa.initial or v in dfa.finals or v == u
+                        or indeg[v] != 1 or len(edges[v]) != 1):
+                    break
+                st2, w = edges[v][0]
+                if (st1.region != st2.region
+                        or occur[st1] != 1 or occur[st2] != 1):
+                    break
                 fused = Stmt(next(counter), st1.thread, st1.region,
                              st1.ops + st2.ops,
                              st1.reads | (st2.reads - st1.writes),
                              st1.writes | st2.writes,
                              f"{st1.display}; {st2.display}")
-                e[0] = fused
-                e[1] = w
+                e[:] = fused, w
                 del edges[v]
                 del occur[st1], occur[st2]
                 occur[fused] = 1
-                changed = True
-                break
-            if changed:
-                break
 
     stmts = sorted(occur, key=lambda s: s.id)
     states = sorted(edges.keys() | {dfa.initial} | {q for q in dfa.finals if q in live})

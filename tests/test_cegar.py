@@ -499,3 +499,37 @@ def test_round_times_fit_in_the_run(name):
     assert revalidate > 0 if v.verdict == "safe" else revalidate == 0.0
     assert any(r.extract_time > 0 and r.refine_time > 0 for r in v.rounds)
     assert {"extract_time", "refine_time"} <= set(v.rounds[0].as_dict())
+
+
+def test_work_does_not_depend_on_state_numbers():
+    # renumbering the program's states keeps its language; every round
+    # must then find the same counterexamples and do the same check work
+    from hyperweave.automata import Dfa
+    from hyperweave.cli import _build_config
+    path = os.path.join(os.path.dirname(__file__), "..", "benchmarks",
+                        "sequential", "mult_dist")
+    with open(path + ".expect") as fh:
+        expect = json.load(fh)
+    with open(path + ".imp") as fh:
+        dfa, dep, _ = load_program(fh.read(), atomic=True)
+    last = dfa.n - 1
+    reversed_dfa = Dfa(dfa.alphabet, [[last - t for t in row]
+                                      for row in reversed(dfa.delta)],
+                       last - dfa.initial,
+                       frozenset(last - q for q in dfa.finals))
+    times = {"construction_time", "checking_time", "extract_time",
+             "refine_time"}
+    runs = []
+    for program in (dfa, reversed_dfa):
+        v = verify(program, dep, _build_config(expect))
+        assert v.verdict == "safe"
+        runs.append([{k: x for k, x in r.as_dict().items() if k not in times}
+                     for r in v.rounds])
+    assert runs[0] == runs[1]
+
+
+def test_safe_repr_leaves_out_the_packed_edges():
+    # the packed edges of non-atomic mult_dist_flipped have 40,656 bits,
+    # more decimal digits than int.__str__ converts
+    verdict = cegar.Safe([], [], {}, 1 << 40000)
+    assert "edges" not in repr(verdict)

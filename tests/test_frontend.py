@@ -7,9 +7,10 @@ import pytest
 
 from hyperweave import exprs, frontend
 from hyperweave.automata import from_words, minimize, shuffle
-from hyperweave.frontend import (ParseError, Stmt, concurrent,
-                                 compute_dependence, load_program,
-                                 lower_to_dfa, parse_program)
+from hyperweave.frontend import (Assign, If, Par, ParseError, Seq, Stmt,
+                                 While, compute_dependence, concurrent,
+                                 load_program, lower_to_dfa, parse_program,
+                                 tokenize)
 
 MULT = """
 var a, b, c, x1, i1, x2, i2, x3, i3;
@@ -46,6 +47,36 @@ def test_syntax_error_has_position():
     assert str(e.value)
 
 
+def test_tokens_carry_line_and_column():
+    src = ("var x; // one\n"
+           "# two\n"
+           "  assume(x ≠ 1); assume(¬(x ≤ 2));\n"
+           "\tx := x - 10; assume(x ≥ 3); // last")
+    assert tokenize(src) == [
+        ("var", 1, 1), (("ident", "x"), 1, 5), (";", 1, 6),
+        ("assume", 3, 3), ("(", 3, 9), (("ident", "x"), 3, 10), ("≠", 3, 12),
+        (("num", 1), 3, 14), (")", 3, 15), (";", 3, 16),
+        ("assume", 3, 18), ("(", 3, 24), ("¬", 3, 25), ("(", 3, 26),
+        (("ident", "x"), 3, 27), ("≤", 3, 29), (("num", 2), 3, 31),
+        (")", 3, 32), (")", 3, 33), (";", 3, 34),
+        (("ident", "x"), 4, 2), (":=", 4, 4), (("ident", "x"), 4, 7),
+        ("-", 4, 9), (("num", 10), 4, 11), (";", 4, 13),
+        ("assume", 4, 15), ("(", 4, 21), (("ident", "x"), 4, 22),
+        ("≥", 4, 24), (("num", 3), 4, 26), (")", 4, 27), (";", 4, 28),
+        ("eof", 4, 37)]       # the column after the trailing comment
+
+
+@pytest.mark.parametrize("src, line, col, char", [
+    ("var x;\nx := 1 $ 2;", 2, 8, "$"),
+    # numeric characters that are not decimal digits start no token
+    ("var x; x := ²;", 1, 13, "²"), ("var x; x := 1½;", 1, 14, "½")])
+def test_unexpected_character_is_a_parse_error(src, line, col, char):
+    with pytest.raises(ParseError) as e:
+        parse_program(src)
+    assert (e.value.line, e.value.col) == (line, col)
+    assert str(e.value) == f"{line}:{col}: unexpected character {char!r}"
+
+
 def test_nonlinear_rejected():
     with pytest.raises(exprs.NonlinearError):
         lower_to_dfa(parse_program("var x, y; x := x * y;"))
@@ -63,6 +94,49 @@ def test_copy_directive():
     assert "y1 := (y1 + w)" in displays and "y2 := (y2 + w)" in displays
     threads = {s.thread for s in dfa.alphabet}
     assert len(threads) == 3  # two copies plus the trailing assume
+    # renaming reaches into loops and branches, and skips shared names
+    src = """
+    var w, g;
+    block worker {
+      while (y < g) { if (y = w) { y := y + 1; } else { z := w; } }
+    }
+    copy 2 worker as a, b sharing w, g;
+    """
+    ast = parse_program(src)
+    assert ast.variables == ["w", "g", "ya", "za", "yb", "zb"]
+    assert ast.body == Seq([Par([
+        Seq([While(("cmp", "<", ("var", "y" + s), ("var", "g")), Seq([
+            If(("cmp", "=", ("var", "y" + s), ("var", "w")),
+               Seq([Assign("y" + s, ("add", ("var", "y" + s), ("num", 1)), 4)]),
+               Seq([Assign("z" + s, ("var", "w"), 4)]))]))])
+        for s in "ab"])])
+
+
+def test_declaration_rules():
+    # a name that a later copy introduces counts as declared
+    parse_program("var w; ya := w; block b { y := w; } copy 1 b as a;")
+    # a block that is never copied is never checked
+    parse_program("var x; block b { y := z; } x := 1;")
+    # the first undeclared name in source order is reported, with the
+    # statement's line, or without a line inside a condition
+    for src, msg in [
+            ("var x;\nx := y + z;", "2:0: undeclared variable 'y'"),
+            ("var x;\nwhile (y < x) { z := 1; }", "undeclared variable 'y'"),
+            ("var x;\nif (x < 1) { x := 1; } else { x := q; }",
+             "2:0: undeclared variable 'q'")]:
+        with pytest.raises(ParseError) as e:
+            parse_program(src)
+        assert str(e.value) == msg
+
+
+@pytest.mark.parametrize("body", ["x := s;", "s := s + 1;"])
+def test_shared_names_must_be_declared(body):
+    # a shared name keeps its name in every copy, so no copy declares it,
+    # whether the block reads or assigns it
+    src = f"var x; block b {{ {body} }} copy 2 b as 1, 2 sharing s;"
+    with pytest.raises(ParseError, match="undeclared variable 's'"):
+        parse_program(src)
+    parse_program("var s;" + src)
 
 
 def test_single_statement_dfa():
