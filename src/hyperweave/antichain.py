@@ -24,6 +24,7 @@ every order family: such cells are never materialized.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import asdict, dataclass
 from itertools import islice
@@ -522,13 +523,13 @@ class Strategy:
             return Strategy(text)
         if text == "bpe-rr":
             return Strategy("bpe", "rr")
-        for mode in ("l", "m"):
-            if text.startswith(f"bpe-{mode}"):
-                n = int(text[len(f"bpe-{mode}"):] or "1")
-                if n < 1:
-                    raise ValueError(f"strategy {text!r} needs N >= 1")
-                return Strategy("bpe", mode, n)
-        raise ValueError(f"unknown strategy {text!r}")
+        m = re.fullmatch(r"bpe-([lm])(-?\d+)?", text)
+        if m is None:
+            raise ValueError(f"unknown strategy {text!r}")
+        n = int(m[2] or "1")
+        if n < 1:
+            raise ValueError(f"strategy {text!r} needs N >= 1")
+        return Strategy("bpe", m[1], n)
 
     def __str__(self):
         if self.kind != "bpe":

@@ -7,7 +7,9 @@ A LazyDfa is the subset construction of an Nfa built one row at a time; it
 and Dfa share the read interface ``alphabet``, ``initial``, ``row(q)`` and
 ``is_final(q)``.  A proof automaton is read only through that interface on
 a LazyDfa; the eager ``determinize`` is kept for the explicit-LTA baseline
-and for small explicit DFAs (program lowering, ``from_words``).
+and for small explicit DFAs (``from_words``).  Program lowering calls it on
+fragments that are already deterministic, where it only numbers the states
+breadth-first and adds the sink.
 """
 
 from __future__ import annotations
@@ -196,34 +198,6 @@ class LazyDfa:
                             grown |= 1 << p
             self._live = live
         return self._masks[q] & self._live != 0
-
-
-def eliminate_epsilon(n: int, trans: dict, eps: dict, initial: int, finals: set, alphabet) -> Nfa:
-    """Fold epsilon edges into an epsilon-free Nfa: state p gets the
-    out-edges of every state in its epsilon closure, each edge leading to
-    its target's closure."""
-    closure = []
-    for q in range(n):
-        seen = {q}
-        stack = [q]
-        while stack:
-            p = stack.pop()
-            for r in eps.get(p, ()):
-                if r not in seen:
-                    seen.add(r)
-                    stack.append(r)
-        closure.append(seen)
-    out_edges: dict = {}        # q -> [(label, closure of q's targets)]
-    for (q, label), targets in trans.items():
-        full = set().union(*(closure[t] for t in targets))
-        out_edges.setdefault(q, []).append((label, full))
-    out_trans: dict = {}
-    for p in range(n):
-        for q in closure[p]:
-            for label, full in out_edges.get(q, ()):
-                out_trans.setdefault((p, label), set()).update(full)
-    out_finals = {q for q in range(n) if closure[q] & finals}
-    return Nfa(n, tuple(alphabet), out_trans, initial, out_finals)
 
 
 def shuffle(a: Dfa, b: Dfa) -> Dfa:

@@ -51,12 +51,18 @@ def _build_config(options: dict) -> cegar.VerifyConfig:
     timeout = float(options.get("timeout", 120))
     if not 0 < timeout < float("inf"):     # also false for nan
         raise ValueError(f"timeout must be finite and positive, not {timeout}")
+
+    def choice(key, *allowed):             # the first one is the default
+        value = options.get(key, allowed[0])
+        if value not in allowed:
+            raise ValueError(f"{key} must be one of {', '.join(allowed)}, not {value!r}")
+        return value
     return cegar.VerifyConfig(
         strategy=Strategy.parse(options.get("strategy", "bpe-rr")),
-        orders=LINEAR if options.get("orders") == "linear" else PARTITION,
-        use_antichain=options.get("antichain", "on") == "on",
+        orders=LINEAR if choice("orders", "partition", "linear") == "linear" else PARTITION,
+        use_antichain=choice("antichain", "on", "off") == "on",
         timeout=timeout,
-        interpolation=options.get("interpolation", "farkas"),
+        interpolation=choice("interpolation", "farkas", "wp"),
     )
 
 

@@ -10,11 +10,15 @@ for plain statements, several for fused atomic blocks).
 ``_map_vars``, renames a copied block's variables and checks declarations;
 ``fuse_chains`` fuses in one pass over the edges.
 
-Each emitted DFA is normalized once, by ``minimize`` (which also merges its
-dead states).  A shuffle product is embedded in its parent fragment with
-only its live states.  Every statement, fused or not, takes its id from one
-counter, so emitted alphabets are in id order without ties, and renumbering
-ids permutes no column.
+Each node is lowered after a set of entry states and returns the states
+that end it, so no fragment has an epsilon edge; every statement is a letter
+of its own, so a fragment is deterministic, as a position automaton is
+(Berry & Sethi 1986).  ``determinize`` numbers it breadth-first and
+``minimize``, the one normalizer, merges its dead states.  A shuffle product
+is embedded with only its live states, its first letters leaving every
+entry.  Every statement, fused or not, takes its id from one counter, so
+emitted alphabets are in id order without ties, and renumbering ids permutes
+no column.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import re
 from dataclasses import dataclass
 
 from . import exprs
-from .automata import Dfa, determinize, eliminate_epsilon, minimize, shuffle
+from .automata import Dfa, Nfa, determinize, minimize, shuffle
 
 
 class ParseError(Exception):
@@ -37,17 +41,21 @@ class ParseError(Exception):
 
 # --------------------------------------------------------------------- AST
 
+# line and col of a statement are those of its first token
+
 @dataclass
 class Assign:
     var: str
     expr: tuple
     line: int = 0
+    col: int = 0
 
 
 @dataclass
 class Assume:
     cond: tuple
     line: int = 0
+    col: int = 0
 
 
 @dataclass
@@ -64,6 +72,8 @@ class Par:
 class While:
     cond: tuple
     body: Seq
+    line: int = 0
+    col: int = 0
 
 
 @dataclass
@@ -71,6 +81,8 @@ class If:
     cond: tuple
     then: Seq
     els: Seq | None
+    line: int = 0
+    col: int = 0
 
 
 @dataclass
@@ -225,13 +237,13 @@ class _Parser:
             cond = self.bool_expr()
             self.expect(")")
             self.expect(";")
-            return Assume(cond, line)
+            return Assume(cond, line, col)
         if tok == "while":
             self.next()
             self.expect("(")
             cond = self.bool_expr()
             self.expect(")")
-            return While(cond, self.brace_block())
+            return While(cond, self.brace_block(), line, col)
         if tok == "if":
             self.next()
             self.expect("(")
@@ -242,7 +254,7 @@ class _Parser:
             if self.peek() == "else":
                 self.next()
                 els = self.brace_block()
-            return If(cond, then, els)
+            return If(cond, then, els, line, col)
         if tok == "copy":
             return self.copy_directive()
         if tok == "{":
@@ -259,7 +271,7 @@ class _Parser:
             self.expect(":=")
             expr = self.int_expr()
             self.expect(";")
-            return Assign(name, expr, line)
+            return Assign(name, expr, line, col)
         raise ParseError(f"expected statement, got {tok!r}", line, col)
 
     def copy_directive(self):
@@ -286,7 +298,7 @@ class _Parser:
             raise ParseError(f"copy {k} needs {k} suffixes, got {len(suffixes)}", line, col)
         branches = []
         for suf in suffixes:
-            def rename(v, line, suf=suf):
+            def rename(v, line, col, suf=suf):
                 if v in shared:
                     return v
                 if v + suf not in self.variables:
@@ -320,29 +332,29 @@ class _Parser:
         return Ast(self.variables, Seq(items))
 
 
-def _map_vars(node, fn, line: int = 0):
+def _map_vars(node, fn, pos: tuple = ()):
     """A copy of a statement or expression tree in which each variable v
-    becomes fn(v, line), called in source order; line is the statement's
-    line, 0 inside a while or if condition."""
+    becomes fn(v, line, col), called in source order; (line, col) is where
+    the statement using v begins, for a condition its while or if."""
     if isinstance(node, tuple):
         if node[0] == "var":
-            return ("var", fn(node[1], line))
-        return tuple(_map_vars(e, fn, line) if isinstance(e, tuple) else e
+            return ("var", fn(node[1], *pos))
+        return tuple(_map_vars(e, fn, pos) if isinstance(e, tuple) else e
                      for e in node)
     if isinstance(node, Seq):
         return Seq([_map_vars(i, fn) for i in node.items])
     if isinstance(node, Par):
         return Par([_map_vars(b, fn) for b in node.branches])
+    pos = node.line, node.col
     if isinstance(node, While):
-        return While(_map_vars(node.cond, fn), _map_vars(node.body, fn))
+        return While(_map_vars(node.cond, fn, pos), _map_vars(node.body, fn), *pos)
     if isinstance(node, If):
-        return If(_map_vars(node.cond, fn), _map_vars(node.then, fn),
-                  None if node.els is None else _map_vars(node.els, fn))
+        return If(_map_vars(node.cond, fn, pos), _map_vars(node.then, fn),
+                  None if node.els is None else _map_vars(node.els, fn), *pos)
     if isinstance(node, Assign):
-        return Assign(fn(node.var, node.line),
-                      _map_vars(node.expr, fn, node.line), node.line)
+        return Assign(fn(node.var, *pos), _map_vars(node.expr, fn, pos), *pos)
     if isinstance(node, Assume):
-        return Assume(_map_vars(node.cond, fn, node.line), node.line)
+        return Assume(_map_vars(node.cond, fn, pos), *pos)
     raise TypeError(node)
 
 
@@ -352,9 +364,9 @@ def parse_program(text: str) -> Ast:
     ast = _Parser(text).program()
     declared = set(ast.variables)
 
-    def check(v, line):
+    def check(v, line, col):
         if v not in declared:
-            raise ParseError(f"undeclared variable {v!r}", line)
+            raise ParseError(f"undeclared variable {v!r}", line, col)
         return v
     _map_vars(ast.body, check)
     return ast
@@ -436,38 +448,39 @@ def compute_dependence(dfa: Dfa) -> DependenceRel:
 # ---------------------------------------------------------------- lowering
 
 class _Fragment:
-    """Mutable NFA fragment over provisional Stmt objects."""
+    """Mutable epsilon-free NFA fragment over provisional Stmt objects."""
 
     def __init__(self):
         self.n = 0
         self.trans: dict = {}
-        self.eps: dict = {}
 
     def state(self) -> int:
         self.n += 1
         return self.n - 1
 
-    def edge(self, u: int, stmt: Stmt, v: int):
-        self.trans.setdefault((u, stmt), set()).add(v)
+    def edge(self, sources, stmt: Stmt, v: int):
+        """An edge labelled stmt from each state of sources to v."""
+        for u in sources:
+            self.trans.setdefault((u, stmt), set()).add(v)
 
-    def eps_edge(self, u: int, v: int):
-        self.eps.setdefault(u, set()).add(v)
-
-    def embed_dfa(self, dfa: Dfa) -> tuple[int, set]:
-        """Copy a DFA's initial and live states, and the edges between live
-        states, into this fragment; returns (initial, finals)."""
+    def embed_dfa(self, dfa: Dfa, entries: set) -> set:
+        """Copy a DFA's live states, and the edges between them, into this
+        fragment; the initial state's live out-edges also leave every entry.
+        Returns the copied finals, plus the entries when the DFA accepts
+        the empty word."""
         live = dfa.live_states()
-        ids = {q: self.state() for q in sorted(live | {dfa.initial})}
+        ids = {q: self.state() for q in sorted(live)}
         for q in live:
+            sources = {ids[q]} | (entries if q == dfa.initial else set())
             for label, t in zip(dfa.alphabet, dfa.delta[q]):
                 if t in live:
-                    self.edge(ids[q], label, ids[t])
-        return ids[dfa.initial], {ids[q] for q in dfa.finals}
+                    self.edge(sources, label, ids[t])
+        exits = {ids[q] for q in dfa.finals}
+        return exits | entries if dfa.initial in dfa.finals else exits
 
 
 class _Lowerer:
-    def __init__(self, ast: Ast, atomic: bool):
-        self.ast = ast
+    def __init__(self, atomic: bool):
         self.atomic = atomic
         self.counter = itertools.count()
         self.threads: dict[tuple, int] = {}
@@ -495,84 +508,68 @@ class _Lowerer:
         return Stmt(next(self.counter), self.thread_of(region), region,
                     tuple(lowered), frozenset(reads), frozenset(writes), display)
 
-    def compile(self, node, region: tuple, frag: _Fragment) -> tuple[int, set]:
+    def assume(self, region: tuple, cond) -> Stmt:
+        return self.stmt(region, [("assume", cond)], f"assume({_fmt_raw_bool(cond)})")
+
+    def compile(self, node, region: tuple, frag: _Fragment, entries: set) -> set:
+        """Add node's statements to frag after the entry states; returns the
+        states that end node."""
         if isinstance(node, Seq):
-            entry = frag.state()
-            finals = {entry}
             for item in node.items:
-                i2, f2 = self.compile(item, region, frag)
-                for f in finals:
-                    frag.eps_edge(f, i2)
-                finals = f2
-            return entry, finals
-        if isinstance(node, Assign):
-            u, v = frag.state(), frag.state()
-            st = self.stmt(region, [("assign", node.var, node.expr)],
-                           f"{node.var} := {exprs.fmt_int(node.expr)}")
-            frag.edge(u, st, v)
-            return u, {v}
-        if isinstance(node, Assume):
-            u, v = frag.state(), frag.state()
-            st = self.stmt(region, [("assume", node.cond)],
-                           f"assume({_fmt_raw_bool(node.cond)})")
-            frag.edge(u, st, v)
-            return u, {v}
+                entries = self.compile(item, region, frag, entries)
+            return entries
+        if isinstance(node, (Assign, Assume)):
+            st = (self.assume(region, node.cond) if isinstance(node, Assume) else
+                  self.stmt(region, [("assign", node.var, node.expr)],
+                            f"{node.var} := {exprs.fmt_int(node.expr)}"))
+            v = frag.state()
+            frag.edge(entries, st, v)
+            return {v}
+        # the guards of a while or if come before its body's statements
         if isinstance(node, While):
-            head = frag.state()
+            enter, leave = (self.assume(region, node.cond),
+                            self.assume(region, ("not", node.cond)))
+            body = frag.state()
+            heads = entries | self.compile(node.body, region, frag, {body})
             exit_ = frag.state()
-            enter = self.stmt(region, [("assume", node.cond)],
-                              f"assume({_fmt_raw_bool(node.cond)})")
-            leave = self.stmt(region, [("assume", ("not", node.cond))],
-                              f"assume(!({_fmt_raw_bool(node.cond)}))")
-            bi, bf = self.compile(node.body, region, frag)
-            mid = frag.state()
-            frag.edge(head, enter, mid)
-            frag.eps_edge(mid, bi)
-            for f in bf:
-                frag.eps_edge(f, head)
-            frag.edge(head, leave, exit_)
-            return head, {exit_}
+            # (enter body)* leave: every head may enter the body or leave
+            frag.edge(heads, enter, body)
+            frag.edge(heads, leave, exit_)
+            return {exit_}
         if isinstance(node, If):
-            entry = frag.state()
-            then_g = self.stmt(region, [("assume", node.cond)],
-                               f"assume({_fmt_raw_bool(node.cond)})")
-            else_g = self.stmt(region, [("assume", ("not", node.cond))],
-                               f"assume(!({_fmt_raw_bool(node.cond)}))")
-            ti, tf = self.compile(node.then, region, frag)
-            mid_t = frag.state()
-            frag.edge(entry, then_g, mid_t)
-            frag.eps_edge(mid_t, ti)
-            finals = set(tf)
-            mid_e = frag.state()
-            frag.edge(entry, else_g, mid_e)
-            if node.els is not None:
-                ei, ef = self.compile(node.els, region, frag)
-                frag.eps_edge(mid_e, ei)
-                finals |= ef
-            else:
-                finals.add(mid_e)
-            return entry, finals
+            then_g, else_g = (self.assume(region, node.cond),
+                              self.assume(region, ("not", node.cond)))
+            then_s, else_s = frag.state(), frag.state()
+            frag.edge(entries, then_g, then_s)
+            frag.edge(entries, else_g, else_s)
+            return (self.compile(node.then, region, frag, {then_s})
+                    | self.compile(node.els or Seq([]), region, frag, {else_s}))
         if isinstance(node, Par):
             par_id = next(self.par_count)
             branch_dfas = []
             for bi, branch in enumerate(node.branches):
-                sub = _Fragment()
-                init, fins = self.compile(branch, region + ((par_id, bi),), sub)
-                dfa = self._to_dfa(sub, init, fins)
+                dfa = self.fragment_dfa(branch, region + ((par_id, bi),))
                 if self.atomic:
                     dfa = minimize(fuse_chains(dfa, self.counter))
                 branch_dfas.append(dfa)
             prod = branch_dfas[0]
             for d in branch_dfas[1:]:
                 prod = shuffle(prod, d)
-            return frag.embed_dfa(prod)
+            return frag.embed_dfa(prod, entries)
         raise TypeError(node)
+
+    def fragment_dfa(self, node, region: tuple) -> Dfa:
+        """node lowered on its own, from a fresh initial state."""
+        frag = _Fragment()
+        init = frag.state()
+        return self._to_dfa(frag, init, self.compile(node, region, frag, {init}))
 
     @staticmethod
     def _to_dfa(frag: _Fragment, init: int, fins: set) -> Dfa:
+        # determinize numbers the (already deterministic) fragment's states
+        # breadth-first and adds the sink; minimize keeps that order
         stmts = sorted({s for (_, s) in frag.trans}, key=lambda s: s.id)
-        nfa = eliminate_epsilon(frag.n, frag.trans, frag.eps, init, fins, tuple(stmts))
-        return minimize(determinize(nfa))
+        return minimize(determinize(Nfa(frag.n, tuple(stmts), frag.trans, init, fins)))
 
 
 def fuse_chains(dfa: Dfa, counter) -> Dfa:
@@ -637,10 +634,8 @@ def fuse_chains(dfa: Dfa, counter) -> Dfa:
 
 def lower_to_dfa(ast: Ast, atomic: bool = False) -> Dfa:
     """Compile the program to a complete DFA over its statement alphabet."""
-    lo = _Lowerer(ast, atomic)
-    frag = _Fragment()
-    init, fins = lo.compile(ast.body, (), frag)
-    dfa = lo._to_dfa(frag, init, fins)
+    lo = _Lowerer(atomic)
+    dfa = lo.fragment_dfa(ast.body, ())
     if atomic:
         dfa = minimize(fuse_chains(dfa, lo.counter))
     # dense statement ids; the alphabet is already in id order

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 
@@ -71,3 +72,37 @@ def random_closed_language(rng: random.Random, k: int, maxlen: int,
         n = rng.randint(0, maxlen)
         words.add(tuple(rng.randrange(k) for _ in range(n)))
     return closure(words, dep)
+
+
+def random_program(rng: random.Random, depth: int = 3,
+                   names: tuple = ("x", "y", "z", "w")) -> str:
+    """A random program text over the declared names: assignments, assumes,
+    while loops (empty bodies too), if with and without else, plain blocks
+    and || of blocks (empty branches too), nested up to depth.  Every
+    assignment, assume and guard has a constant of its own, so no two
+    statements display alike."""
+    consts = itertools.count(1)
+
+    def block(d: int) -> str:
+        return "{ " + "".join(statement(d) + " " for _ in range(rng.randrange(3))) + "}"
+
+    def statement(d: int) -> str:
+        x, y = rng.choice(names), rng.choice(names)
+        kind = rng.choice(["assign", "assign", "assume"]
+                          + (["while", "if", "if-else", "block", "par"] if d else []))
+        if kind == "assign":
+            return f"{x} := {y} + {next(consts)};"
+        if kind == "assume":
+            return f"assume({x} != {next(consts)});"
+        if kind == "while":
+            return f"while ({x} < {next(consts)}) {block(d - 1)}"
+        if kind == "if":
+            return f"if ({x} = {next(consts)}) {block(d - 1)}"
+        if kind == "if-else":
+            return f"if ({x} > {next(consts)}) {block(d - 1)} else {block(d - 1)}"
+        if kind == "block":
+            return block(d - 1)
+        return " || ".join(block(d - 1) for _ in range(rng.randint(2, 3)))
+
+    body = " ".join(statement(depth) for _ in range(rng.randint(1, 3)))
+    return f"var {', '.join(names)}; {body}"

@@ -355,8 +355,9 @@ def test_strategy_parse():
     assert Strategy.parse("bpe-l3") == Strategy("bpe", "l", 3)
     assert Strategy.parse("bpe-m1") == Strategy("bpe", "m", 1)
     assert Strategy.parse("pe") == Strategy("pe")
-    with pytest.raises(ValueError):
-        Strategy.parse("nope")
+    for text in ("nope", "bpe-lx", "bpe-l-", "bpe-m1x"):
+        with pytest.raises(ValueError, match=f"unknown strategy '{text}'"):
+            Strategy.parse(text)
     for text in ("bpe-l0", "bpe-m0", "bpe-m-1"):
         with pytest.raises(ValueError, match="N >= 1"):
             Strategy.parse(text)

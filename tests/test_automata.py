@@ -4,7 +4,7 @@ import random
 import pytest
 
 from hyperweave.automata import (AlphabetError, Dfa, LazyDfa, Nfa,
-                                 determinize, eliminate_epsilon, equivalent,
+                                 determinize, equivalent,
                                  first_difference_trace, from_words, minimize,
                                  shuffle)
 from hyperweave.limits import ResourceLimit
@@ -44,42 +44,6 @@ def test_determinize_agrees_with_nfa_simulation():
             for _ in range(4):
                 w = tuple(rng.choice(alphabet) for _ in range(n))
                 assert dfa.accepts(w) == nfa_accepts(nfa, w)
-
-
-def test_eliminate_epsilon_agrees_with_epsilon_nfa_simulation():
-    rng = random.Random(23)
-    alphabet = ("a", "b")
-    for trial in range(300):
-        n = rng.randint(1, 6)
-        trans: dict = {}
-        for _ in range(rng.randint(0, 2 * n)):
-            key = (rng.randrange(n), rng.choice(alphabet))
-            trans.setdefault(key, set()).add(rng.randrange(n))
-        u, v = rng.randrange(n), rng.randrange(n)
-        eps: dict = {u: {v}, v: {u}}          # at least one epsilon cycle
-        for _ in range(rng.randint(0, n)):
-            eps.setdefault(rng.randrange(n), set()).add(rng.randrange(n))
-        finals = set(rng.sample(range(n), rng.randint(1, n)))
-
-        def close(states):
-            stack, seen = list(states), set(states)
-            while stack:
-                for r in eps.get(stack.pop(), ()):
-                    if r not in seen:
-                        seen.add(r)
-                        stack.append(r)
-            return seen
-
-        def accepts(word):
-            states = close({0})
-            for a in word:
-                states = close({t for q in states for t in trans.get((q, a), ())})
-            return bool(states & finals)
-
-        dfa = determinize(eliminate_epsilon(n, trans, eps, 0, finals, alphabet))
-        for k in range(6):
-            for w in itertools.product(alphabet, repeat=k):
-                assert dfa.accepts(w) == accepts(w), (trial, w)
 
 
 def test_lazy_dfa_fully_expanded_equals_determinize():

@@ -211,6 +211,37 @@ def test_bench_refuses_unknown_expect_keys(tmp_path, capsys):
     assert "error: unknown .expect keys" in line and "MISMATCH" in line
 
 
+@pytest.mark.parametrize("key, value, msg", [
+    ("antichain", "yes", "antichain must be one of on, off, not 'yes'"),
+    ("orders", "linaer", "orders must be one of partition, linear"),
+    ("interpolation", "farkass", "interpolation must be one of farkas, wp"),
+    ("strategy", "bpe-lx", "unknown strategy 'bpe-lx'")],
+    ids=["antichain", "orders", "interpolation", "strategy"])
+def test_misspelt_option_values_are_refused(tmp_path, capsys, key, value, msg):
+    # each of the first three ran another engine: the explicit-LTA
+    # baseline, partition orders, wp interpolation
+    with pytest.raises(ValueError, match=msg):
+        cli._build_config({key: value})
+    (tmp_path / "p.imp").write_text(UNSAFE_SRC)
+    (tmp_path / "p.expect").write_text(json.dumps({"verdict": "unsafe", key: value}))
+    assert main(["bench", str(tmp_path)]) == 1
+    [line] = [l for l in capsys.readouterr().out.splitlines()
+              if l.startswith("p ")]
+    assert f"error: {msg}" in line and "MISMATCH" in line
+
+
+def test_misspelt_flag_values_are_refused(tmpfiles, capsys):
+    tmp_path, safe, _ = tmpfiles
+    assert main(["verify", safe, "--strategy", "bpe-lx"]) == 64
+    assert "unknown strategy 'bpe-lx'" in capsys.readouterr().err
+    (tmp_path / "safe.expect").write_text('{"verdict": "safe"}')
+    (tmp_path / "unsafe.expect").write_text('{"verdict": "unsafe"}')
+    assert main(["bench", str(tmp_path), "--antichain-matrix", "on,yes"]) == 1
+    rows = [l for l in capsys.readouterr().out.splitlines() if "[" in l]
+    assert len(rows) == 4
+    assert all(("error: antichain" in l) == ("antichain=yes" in l) for l in rows)
+
+
 def _full_dfa_lines(dfa, proof) -> list:
     """The text printout's automaton lines, by the full subset construction
     of a full re-proof."""

@@ -1,4 +1,5 @@
 import glob
+import hashlib
 import itertools
 import os
 import random
@@ -7,10 +8,11 @@ import pytest
 
 from hyperweave import exprs, frontend
 from hyperweave.automata import from_words, minimize, shuffle
-from hyperweave.frontend import (Assign, If, Par, ParseError, Seq, Stmt,
-                                 While, compute_dependence, concurrent,
+from hyperweave.frontend import (Assign, Assume, If, Par, ParseError, Seq,
+                                 Stmt, While, compute_dependence, concurrent,
                                  load_program, lower_to_dfa, parse_program,
                                  tokenize)
+from tests.conftest import random_program
 
 MULT = """
 var a, b, c, x1, i1, x2, i2, x3, i3;
@@ -107,8 +109,8 @@ def test_copy_directive():
     assert ast.body == Seq([Par([
         Seq([While(("cmp", "<", ("var", "y" + s), ("var", "g")), Seq([
             If(("cmp", "=", ("var", "y" + s), ("var", "w")),
-               Seq([Assign("y" + s, ("add", ("var", "y" + s), ("num", 1)), 4)]),
-               Seq([Assign("z" + s, ("var", "w"), 4)]))]))])
+               Seq([Assign("y" + s, ("add", ("var", "y" + s), ("num", 1)), 4, 36)]),
+               Seq([Assign("z" + s, ("var", "w"), 4, 57)]), 4, 23)]), 4, 7)])
         for s in "ab"])])
 
 
@@ -117,13 +119,13 @@ def test_declaration_rules():
     parse_program("var w; ya := w; block b { y := w; } copy 1 b as a;")
     # a block that is never copied is never checked
     parse_program("var x; block b { y := z; } x := 1;")
-    # the first undeclared name in source order is reported, with the
-    # statement's line, or without a line inside a condition
+    # the first undeclared name in source order is reported at the first
+    # token of the statement that uses it, for a condition its while or if
     for src, msg in [
-            ("var x;\nx := y + z;", "2:0: undeclared variable 'y'"),
-            ("var x;\nwhile (y < x) { z := 1; }", "undeclared variable 'y'"),
+            ("var x;\nx := y + z;", "2:1: undeclared variable 'y'"),
+            ("var x;\n  while (y < x) { z := 1; }", "2:3: undeclared variable 'y'"),
             ("var x;\nif (x < 1) { x := 1; } else { x := q; }",
-             "2:0: undeclared variable 'q'")]:
+             "2:31: undeclared variable 'q'")]:
         with pytest.raises(ParseError) as e:
             parse_program(src)
         assert str(e.value) == msg
@@ -256,6 +258,99 @@ def test_lowering_is_normalized_by_minimize_alone(monkeypatch, atomic):
         assert minimize(dfa).n == dfa.n, path
         assert dfa.n - len(dfa.live_states()) <= 1, path
         assert [s.id for s in dfa.alphabet] == list(range(len(dfa.alphabet)))
+
+
+def _cat(xs: set, ys: set, n: int) -> set:
+    return {x + y for x in xs for y in ys if len(x) + len(y) <= n}
+
+
+def _interleavings(x: tuple, y: tuple) -> set:
+    if not x or not y:
+        return {x + y}
+    return ({x[:1] + w for w in _interleavings(x[1:], y)}
+            | {y[:1] + w for w in _interleavings(x, y[1:])})
+
+
+def _language(node, n: int) -> set:
+    """The words of length <= n of a statement, as tuples of statement
+    displays, computed from the AST alone."""
+    if isinstance(node, Seq):
+        words = {()}
+        for item in node.items:
+            words = _cat(words, _language(item, n), n)
+        return words
+    if isinstance(node, Assign):
+        return {(f"{node.var} := {exprs.fmt_int(node.expr)}",)}
+    if isinstance(node, Assume):
+        return {(f"assume({frontend._fmt_raw_bool(node.cond)})",)}
+    if isinstance(node, Par):
+        words = {()}
+        for branch in node.branches:
+            words = {w for x in words for y in _language(branch, n)
+                     if len(x) + len(y) <= n for w in _interleavings(x, y)}
+        return words
+    guard = frontend._fmt_raw_bool(node.cond)
+    enter, leave = {(f"assume({guard})",)}, {(f"assume(!({guard}))",)}
+    if isinstance(node, If):
+        return (_cat(enter, _language(node.then, n), n)
+                | _cat(leave, _language(node.els or Seq([]), n), n))
+    loop, star = _cat(enter, _language(node.body, n), n), {()}
+    while not (grown := _cat(star, loop, n)) <= star:
+        star |= grown
+    return _cat(star, leave, n)
+
+
+def test_random_lowerings_have_the_language_of_their_ast():
+    # concatenation, (enter body)* leave, guarded branches and shuffles,
+    # nested with empty blocks and nullable || branches; every statement
+    # displays uniquely, so displays name the letters
+    rng = random.Random(16)
+    for _ in range(2000):
+        text = random_program(rng, depth=rng.randint(1, 3))
+        ast = parse_program(text)
+        dfa = lower_to_dfa(ast)
+        words = {tuple(s.display for s in w) for w in dfa.words_upto(6)}
+        assert words == _language(ast.body, 6), text
+
+
+def _lowering_dump(text: str, atomic: bool) -> str:
+    dfa, dep, _ = load_program(text, atomic=atomic)
+    return repr(([(s.id, s.thread, s.region, s.ops, sorted(s.reads),
+                   sorted(s.writes), s.display) for s in dfa.alphabet],
+                 dfa.delta, dfa.initial, sorted(dfa.finals), dep.masks))
+
+
+# the first 16 hex digits of the SHA-256 of each bundled program's
+# _lowering_dump, with atomic blocks off and on
+LOWERING_DIGESTS = {
+    "nonatomic/mult_dist": ("3f228791baeb5be8", "6290bdb910fe50c6"),
+    "nonatomic/mult_dist_flipped": ("b24f2b092a062f0b", "3f88e6cd23218f85"),
+    "parallel/parallelsum1_det": ("aa57c7f4ad8b7b43", "d618a30369e698ef"),
+    "parallel/simpleinc": ("6c61b864a873f4a1", "c28dc713d1d289d7"),
+    "parallel/spaghetti": ("ce3e714a9d460172", "4fd52bd24ba77f5d"),
+    "sequential/arrayeq_symm": ("4fd4a6aa80f85e00", "f3ea1d1606304897"),
+    "sequential/mult_dist": ("3f228791baeb5be8", "6290bdb910fe50c6"),
+    "sequential/mult_dist_flipped": ("b24f2b092a062f0b", "3f88e6cd23218f85"),
+    "sequential/security_sec": ("324852644eb6456b", "1c81eeee95b8bde0"),
+    "stress/exp1x3": ("e2fd6a326cbc0387", "68791262914ca5f2"),
+    "stress/exp2x2": ("fd6e268be4bee483", "a844a34aacc03952"),
+    "stress/exp2x3": ("a3286f88d349d6a7", "f296dd9374f25c17"),
+    "unsafe/mult_dist_unsafe": ("3e1b85820bd8ed5c", "5754ec3543d2d0ab"),
+}
+
+
+def test_bundled_lowerings_are_pinned():
+    # a change to the lowering of any bundled program, down to a state
+    # number or a statement id, must update these digests on purpose
+    got = {}
+    for path in BUNDLED:
+        with open(path) as fh:
+            text = fh.read()
+        name = "/".join(path[:-len(".imp")].split(os.sep)[-2:])
+        got[name] = tuple(
+            hashlib.sha256(_lowering_dump(text, atomic).encode()).hexdigest()[:16]
+            for atomic in (False, True))
+    assert got == LOWERING_DIGESTS
 
 
 def test_dependence_same_thread():
