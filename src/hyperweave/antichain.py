@@ -35,6 +35,8 @@ from .lta import BrokenInvariant
 from .reduction import OrderSource, _dep_masks
 
 MAX_CELLS = 2000000                # fixpoint cells before ResourceLimit
+SURVIVOR_CAP = 50000               # partition survivor search states
+CEX_CAP = 200000                   # pending-stack cap of the 'pe' strategy
 LEAF_COUNT_CAP = 10 ** 9           # leaf counts saturate here
 
 
@@ -147,8 +149,7 @@ def _meet_over_orders(children, dmasks, relations, full: int, stats) -> list:
     return acc
 
 
-def _partition_survivors(children, dmasks, full: int, stats,
-                         cap: int = 50000) -> list:
+def _partition_survivors(children, dmasks, full: int, stats) -> list:
     """Collapsed meet over all partition orders.
 
     T is inactive iff some pool pair (a, S) with T <= (S|D(a))\\{a} also has
@@ -174,7 +175,7 @@ def _partition_survivors(children, dmasks, full: int, stats,
         if t in visited:
             continue
         visited.add(t)
-        if len(visited) > cap:
+        if len(visited) > SURVIVOR_CAP:
             raise ResourceLimit("partition survivor search exceeded cap")
         if ac_covers(result, t):
             continue
@@ -305,8 +306,7 @@ class CheckEngine:
         qp, qpi = cell
         stats = self.stats
         stats.fmax_calls += 1
-        if stats.fmax_calls & 1023 == 0:
-            check_deadline(self.deadline)
+        check_deadline(self.deadline, stats.fmax_calls)
         if qp in self.ap.finals and not self.api.is_final(qpi):
             return self._leaf
         rowp, rowpi = self.ap.delta[qp], self.api.row(qpi)
@@ -594,7 +594,7 @@ def _leaf_strings(forest, cap: int | None = None):
             raise ResourceLimit("counterexample tree too large")
 
 
-def all_leaf_strings(forest, cap: int = 200000) -> list:
+def all_leaf_strings(forest, cap: int = CEX_CAP) -> list:
     """Every root-to-leaf string in branch (DFS) order, deduplicated."""
     return list(_leaf_strings(forest, cap))
 
@@ -647,7 +647,7 @@ def rr_leaf(forest, alphabet) -> tuple:
 
 
 def extract_counterexamples(forest, alphabet, strategy: Strategy,
-                            cap: int = 200000) -> list:
+                            cap: int = CEX_CAP) -> list:
     """Leaf strings chosen by the strategy, as tuples of letter indices."""
     if strategy.kind == "pe":
         return all_leaf_strings(forest, cap)

@@ -121,8 +121,7 @@ def determinize(nfa: Nfa, alphabet=None, deadline: float | None = None) -> Dfa:
     lazy = LazyDfa(nfa, alphabet)
     delta = []
     while len(delta) < lazy.n:
-        if len(delta) & 1023 == 1023:
-            check_deadline(deadline)
+        check_deadline(deadline, len(delta))
         delta.append(lazy.row(len(delta)))
     finals = frozenset(q for q in range(lazy.n) if lazy.is_final(q))
     return Dfa(lazy.alphabet, delta, lazy.initial, finals)
@@ -251,8 +250,7 @@ def first_difference_trace(p: Dfa, pi, deadline: float | None = None):
     visited = 0
     while queue:
         visited += 1
-        if visited & 1023 == 0:
-            check_deadline(deadline)
+        check_deadline(deadline, visited)
         (qp, qi), word = queue.popleft()
         if qp in p.finals and not pi.is_final(qi):
             return list(word)

@@ -87,7 +87,6 @@ class Unknown:
 
 
 MAX_ROUNDS = 400
-CEX_CAP = 200000                   # pending-stack cap of the 'pe' strategy
 MAX_PROOF = 512                    # assertions a proof may reach
 
 
@@ -97,7 +96,6 @@ class VerifyConfig:
     orders: OrderSource = PARTITION
     use_antichain: bool = True
     timeout: float = 300.0
-    interpolation: str = "farkas"
 
 
 class _BaselineChecker:
@@ -215,7 +213,7 @@ def verify(program: Dfa, dep, config: VerifyConfig | None = None):
                 words = [tuple(program.alphabet.index(s) for s in word)]
             else:
                 words = ac.extract_counterexamples(forest, program.alphabet,
-                                                   cfg.strategy, CEX_CAP)
+                                                   cfg.strategy)
             t_extract = time.monotonic() - t0
             if not words:
                 return Unknown("no counterexample extracted", rounds, stats)
@@ -237,9 +235,7 @@ def verify(program: Dfa, dep, config: VerifyConfig | None = None):
                     record(words[: words.index(w) + 1], new_assertions,
                            t_extract, time.monotonic() - t0)
                     return Unsafe(trace, model, rounds, stats)
-                chain = proofdb.interpolate(trace, solver,
-                                            engine=cfg.interpolation,
-                                            cache=cache)
+                chain = proofdb.interpolate(trace, solver, cache=cache)
                 for f in chain[1:-1]:
                     if proof.add(f):
                         new_assertions.append(f)

@@ -62,7 +62,6 @@ def _build_config(options: dict) -> cegar.VerifyConfig:
         orders=LINEAR if choice("orders", "partition", "linear") == "linear" else PARTITION,
         use_antichain=choice("antichain", "on", "off") == "on",
         timeout=timeout,
-        interpolation=choice("interpolation", "farkas", "wp"),
     )
 
 
@@ -138,30 +137,28 @@ def check_dependence_soundness(dfa, dep, solver) -> list:
 
 
 def _commutes(a, b, solver) -> bool:
-    from .proofdb import ssa_encode
-
-    tags = {}
+    """Whether a;b and b;a agree from every start state: both block, or both
+    run and end in the same state."""
+    runs = []
     for order, tag in (((a, b), "!ab"), ((b, a), "!ba")):
-        enc = ssa_encode(list(order))
-        ren = {}
-        for v in enc.variables:
-            ren[v] = v.replace("@", tag + "_") if "@" in v else v
-        conj = [exprs.rename(f, ren) for pos in enc.conjuncts for f in pos]
-        finals = {}
-        for base, k in enc.snapshots[-1].items():
-            finals[base] = (f"{base}{tag}_{k}" if k else base)
-        tags[tag] = (conj, finals)
-    conj = tags["!ab"][0] + tags["!ba"][0]
-    diffs = []
-    vars_all = set(tags["!ab"][1]) | set(tags["!ba"][1])
-    for v in vars_all:
-        va = tags["!ab"][1].get(v, v)
-        vb = tags["!ba"][1].get(v, v)
-        if va != vb:
-            diffs.append(exprs.atom_from_cmp("!=", exprs.var(va), exprs.var(vb)))
-    if not diffs:
-        return True
-    res, _ = solver.check_sat(conj + [exprs.c_or(diffs)])
+        enc = proofdb.ssa_encode(order)
+        ren = {v: v.replace("@", tag + "_") for v in enc.variables}
+        eqs, guards = [], []           # assignment equalities, assume guards
+        for stmt, forms in zip(order, enc.conjuncts):
+            for op, f in zip(stmt.ops, forms):
+                (eqs if op[0] == "assign" else guards).append(
+                    exprs.rename(f, ren))
+        finals = {v: f"{v}{tag}_{k}" if k else v
+                  for v, k in enc.snapshots[-1].items()}
+        runs.append((eqs, exprs.c_and(guards), finals))
+    (eqs_ab, g_ab, fin_ab), (eqs_ba, g_ba, fin_ba) = runs
+    diffs = [exprs.atom_from_cmp("!=", exprs.var(fin_ab.get(v, v)),
+                                 exprs.var(fin_ba.get(v, v)))
+             for v in fin_ab.keys() | fin_ba.keys()]
+    differ = exprs.c_or([exprs.c_and([g_ab, exprs.negate(g_ba)]),
+                         exprs.c_and([g_ba, exprs.negate(g_ab)]),
+                         exprs.c_and([g_ab, g_ba, exprs.c_or(diffs)])])
+    res, _ = solver.check_sat(eqs_ab + eqs_ba + [differ])
     return res == "unsat"
 
 
@@ -203,7 +200,7 @@ def cmd_verify(args) -> int:
 
 # the keys a .expect file may hold; run_benchmark refuses any other
 EXPECT_KEYS = {"verdict", "strategy", "orders", "antichain", "timeout",
-               "interpolation", "atomic_blocks"}
+               "atomic_blocks"}
 
 
 def _bench_row_id(path: str) -> dict:
@@ -226,8 +223,11 @@ def run_benchmark(path: str, overrides: dict | None = None):
     if unknown:
         raise ValueError(f"unknown .expect keys {sorted(unknown)}")
     cfg = _build_config(expect)
+    atomic = expect.get("atomic_blocks", False)
+    if not isinstance(atomic, bool):
+        raise ValueError(f"atomic_blocks must be true or false, not {atomic!r}")
     t0 = time.monotonic()
-    dfa, dep, _ = load_program(text, atomic=expect.get("atomic_blocks", False))
+    dfa, dep, _ = load_program(text, atomic=atomic)
     verdict = cegar.verify(dfa, dep, cfg)
     total = time.monotonic() - t0
     row = {
@@ -339,8 +339,6 @@ def make_parser() -> argparse.ArgumentParser:
     pv.add_argument("--timeout", type=float, default=300.0)
     pv.add_argument("--stats", default=None, help="write per-round JSONL here")
     pv.add_argument("--format", choices=["text", "json"], default="text")
-    pv.add_argument("--interpolation", choices=["wp", "farkas"],
-                    default="farkas")
     pv.add_argument("--check-dependence", action="store_true")
     pv.add_argument("--dump-program", default=None,
                     help="write the program DFA in dot format")

@@ -296,6 +296,9 @@ class _Parser:
         self.expect(";")
         if len(suffixes) != k:
             raise ParseError(f"copy {k} needs {k} suffixes, got {len(suffixes)}", line, col)
+        for i, suf in enumerate(suffixes):
+            if suf in suffixes[:i]:
+                raise ParseError(f"duplicate copy suffix {suf!r}", line, col)
         branches = []
         for suf in suffixes:
             def rename(v, line, col, suf=suf):

@@ -81,8 +81,7 @@ def lta_intersect(m1: Lta, m2: Lta, deadline: float | None = None) -> Lta:
         for b1, s1 in m1.transitions[q1]:
             for b2, s2 in m2.transitions[q2]:
                 steps += 1
-                if steps & 1023 == 0:
-                    check_deadline(deadline)
+                check_deadline(deadline, steps)
                 if b1 != b2:
                     continue
                 succ = []
@@ -139,8 +138,7 @@ def inactive_baseline(m: Lta, deadline: float | None = None) -> InactiveSet:
     for q in range(m.n):
         for ti, (_, succ) in enumerate(m.transitions[q]):
             steps += 1
-            if steps & 1023 == 0:
-                check_deadline(deadline)
+            check_deadline(deadline, steps)
             best: dict[int, int] = {}
             for a in range(k - 1, -1, -1):
                 best[succ[a]] = a
@@ -159,8 +157,7 @@ def inactive_baseline(m: Lta, deadline: float | None = None) -> InactiveSet:
     while queue:
         s = queue.popleft()
         steps += 1
-        if steps & 1023 == 0:
-            check_deadline(deadline)
+        check_deadline(deadline, steps)
         for (q, ti, a) in incoming.get(s, ()):
             if q in inactive or (q, ti) in witness:
                 continue

@@ -5,8 +5,10 @@ process with ``lia``.  Entailment verdicts are cached across refinement
 rounds.  ``hoare_verdicts`` is the one place that decides Hoare triples: the
 proof NFA's edges and each interpolation chain (all its triples in one
 batch, through the same cache) go through it, so a generation bug can never
-produce an unsound proof automaton.  A ``safe`` verdict carries its edges as
-one ``pack_edges`` int; rebuilding its automaton needs no solver.
+produce an unsound proof automaton.  Interpolation has one path: Farkas
+sequence interpolants, with weakest preconditions as the fallback.  A
+``safe`` verdict carries its edges as one ``pack_edges`` int; rebuilding its
+automaton needs no solver.
 """
 
 from __future__ import annotations
@@ -48,11 +50,10 @@ class SolverClient:
             raise SolverError(f"solver answered {res!r} on: {_detail(formulas)}")
         return res, model
 
-    def check_sat(self, formulas, get_model: bool = False):
-        """Returns ('sat', model|None) / ('unsat', None); raises on unknown."""
+    def check_sat(self, formulas):
+        """Returns ('sat', model) / ('unsat', None); raises on unknown."""
         self.num_queries += 1
-        res, model = self._solve(formulas)
-        return res, (model if get_model else None)
+        return self._solve(formulas)
 
     BATCH = 400
 
@@ -141,17 +142,18 @@ def hoare_verdicts(triples, solver: SolverClient,
                    deadline: float | None = None) -> list[bool]:
     """Validity of each Hoare triple (pre, stmt, post): the one place that
     decides triples, by the cache, then syntactic_verdict, then one solver
-    batch for the triples still open.  New verdicts go into the cache.
-    deadline is passed on to SolverClient.check_sat_batch."""
+    batch for the triples still open, each sent once however often it
+    repeats.  New verdicts go into the cache.  deadline is passed on to
+    SolverClient.check_sat_batch."""
     cache = cache if cache is not None else EntailmentCache()
     out: list = []
     wps: dict = {}                 # (stmt id, post) -> [wp, negated wp]
-    pending: list = []             # (index into out, cache key)
+    pending: dict = {}             # cache key -> its indices into out
     queries: list = []
     for pre, stmt, post in triples:
         key = (pre, stmt.id, post)
         verdict = cache.get(key)
-        if verdict is None:
+        if verdict is None and key not in pending:
             wp = wps.get(key[1:])
             if wp is None:
                 wp = wps[key[1:]] = [wp_stmt(stmt, post), None]
@@ -159,15 +161,18 @@ def hoare_verdicts(triples, solver: SolverClient,
             if verdict is None:
                 if wp[1] is None:
                     wp[1] = exprs.negate(wp[0])
-                pending.append((len(out), key))
+                pending[key] = []
                 queries.append([pre, wp[1]])
             else:
                 cache.put(key, verdict)
+        if verdict is None:
+            pending[key].append(len(out))
         out.append(verdict)
-    for (k, key), res in zip(pending,
-                             solver.check_sat_batch(queries, deadline)):
-        out[k] = res == "unsat"
-        cache.put(key, out[k])
+    for (key, ks), res in zip(pending.items(),
+                              solver.check_sat_batch(queries, deadline)):
+        cache.put(key, res == "unsat")
+        for k in ks:
+            out[k] = res == "unsat"
     return out
 
 
@@ -296,14 +301,11 @@ def feasible(trace, solver: SolverClient):
     """Returns an initial-state model dict, or None when infeasible."""
     enc = ssa_encode(trace)
     flat = [f for pos in enc.conjuncts for f in pos]
-    res, model = solver.check_sat(flat, get_model=True)
+    res, model = solver.check_sat(flat)
     if res == "unsat":
         return None
-    model = model or {}
-    init = {}
-    for v in sorted({w.split("@")[0] for w in enc.variables}):
-        init[v] = model.get(v, 0)
-    return init
+    return {v: model.get(v, 0)
+            for v in sorted({w.split("@")[0] for w in enc.variables})}
 
 
 def replay(trace, init: dict) -> dict | None:
@@ -328,18 +330,18 @@ class InterpolationError(Exception):
     pass
 
 
-def interpolate(trace, solver: SolverClient, engine: str = "wp",
+def interpolate(trace, solver: SolverClient,
                 cache: EntailmentCache | None = None) -> list:
     """Assertion chain [true, f1, ..., f_{n-1}, false] proving infeasibility.
 
-    engine='wp' computes backward weakest preconditions; engine='farkas'
-    derives sequence interpolants from a rational infeasibility certificate
-    and falls back to wp when no clean certificate exists.
+    Sequence interpolants from a rational infeasibility certificate come
+    first; backward weakest preconditions are the fallback when there is no
+    clean certificate or its chain fails validation.  Either chain is
+    validated by hoare_verdicts, through cache.
     """
-    if engine == "farkas":
-        chain = _interpolate_farkas(trace)
-        if chain is not None and _chain_ok(chain, trace, solver, cache):
-            return chain
+    chain = _interpolate_farkas(trace)
+    if chain is not None and _chain_ok(chain, trace, solver, cache):
+        return chain
     chain = _interpolate_wp(trace, solver)
     if not _chain_ok(chain, trace, solver, cache):
         raise InterpolationError("wp chain failed validation")

@@ -20,6 +20,7 @@ class ReductionTooLarge(Exception):
 
 
 MAX_LINEAR_ALPHABET = 8
+MAX_LTA_STATES = 500000            # reduction LTA states, then ReductionTooLarge
 
 
 def _dep_masks(dep, k: int):
@@ -45,8 +46,7 @@ class OrderSource:
                     "or enable atomic blocks")
             rels = []
             for perm in itertools.permutations(range(k)):
-                if len(rels) & 1023 == 1023:
-                    check_deadline(deadline)
+                check_deadline(deadline, len(rels))
                 r = [0] * k
                 seen = 0
                 for a in perm:
@@ -59,8 +59,7 @@ class OrderSource:
             # sigma2 = 0, and no other two coincide
             rels = []
             for sigma2 in range((1 << k) - 1 or 1):
-                if sigma2 & 1023 == 1023:
-                    check_deadline(deadline)
+                check_deadline(deadline, sigma2)
                 rels.append(tuple(0 if sigma2 >> a & 1 else sigma2
                                   for a in range(k)))
             return tuple(rels)
@@ -78,7 +77,6 @@ def sleep_step(s: int, r, a: int, dep) -> int:
 
 
 def sleep_reduction_lta(p: Dfa, dep, orders: OrderSource = LINEAR,
-                        max_states: int = 500000,
                         deadline: float | None = None) -> Lta:
     """LTA over (program state, ignored flag, sleep set) accepting reductions.
 
@@ -102,8 +100,7 @@ def sleep_reduction_lta(p: Dfa, dep, orders: OrderSource = LINEAR,
         trans = set()
         for r in rels:
             steps += 1
-            if steps & 1023 == 0:
-                check_deadline(deadline)
+            check_deadline(deadline, steps)
             succ = []
             for a in range(k):
                 nxt = (row[a], iota or bool(s >> a & 1),
@@ -115,9 +112,9 @@ def sleep_reduction_lta(p: Dfa, dep, orders: OrderSource = LINEAR,
                 if nxt not in seen:
                     seen.add(nxt)
                     queue.append(nxt)
-                    if len(seen) > max_states:
+                    if len(seen) > MAX_LTA_STATES:
                         raise ReductionTooLarge(
-                            f"reduction LTA exceeds {max_states} states")
+                            f"reduction LTA exceeds {MAX_LTA_STATES} states")
             b.transitions[qid].append(
                 (boolean_, tuple(b.state(nxt) for nxt in succ)))
     return b.done(root)

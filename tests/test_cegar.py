@@ -173,13 +173,24 @@ def test_naive_strategy():
     assert v.verdict == "safe"
 
 
-def test_unsafe_with_wp_engine():
+def test_unsafe_with_wp_engine(monkeypatch):
+    # every chain comes from the wp fallback; the rounds before the
+    # violation interpolate infeasible traces
+    wp_chains = []
+    real_wp = proofdb._interpolate_wp
+
+    def wp(trace, solver):
+        wp_chains.append(real_wp(trace, solver))
+        return wp_chains[-1]
+    monkeypatch.setattr(proofdb, "_interpolate_farkas", lambda trace: None)
+    monkeypatch.setattr(proofdb, "_interpolate_wp", wp)
     dfa, dep, _ = load_program(
-        "var x, y; { x := x + 1; } || { y := y + 1; } assume(x = y);")
-    v = verify(dfa, dep, VerifyConfig(interpolation="wp", timeout=60))
+        "var x, y; assume(x = 0); assume(y = 0); { x := x + 1; } || "
+        "{ if (x = 0) { y := 1; } else { y := 2; } } assume(y = 2);")
+    v = verify(dfa, dep, VerifyConfig(timeout=60))
     assert v.verdict == "unsafe"
-    assert proofdb.replay(v.trace, v.model)[
-        "x"] == proofdb.replay(v.trace, v.model)["y"]
+    assert wp_chains
+    assert proofdb.replay(v.trace, v.model)["y"] == 2
 
 
 def test_safe_proof_revalidates(solver):
@@ -408,7 +419,7 @@ def _fake_clock(monkeypatch):
 
 def _no_new_assertion(monkeypatch):
     monkeypatch.setattr(proofdb, "interpolate",
-                        lambda trace, solver, engine, cache:
+                        lambda trace, solver, cache:
                         [exprs.TRUE] * len(trace) + [exprs.FALSE])
 
 

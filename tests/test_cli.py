@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -12,7 +14,7 @@ from hyperweave.antichain import check
 from hyperweave.automata import LazyDfa, determinize
 from hyperweave.cli import (_print_text, formula_from_json, formula_to_json,
                             main, run_benchmark)
-from hyperweave.frontend import load_program
+from hyperweave.frontend import DependenceRel, load_program
 from hyperweave.reduction import PARTITION
 from tests.conftest import child_env
 
@@ -214,16 +216,44 @@ def test_bench_refuses_unknown_expect_keys(tmp_path, capsys):
 @pytest.mark.parametrize("key, value, msg", [
     ("antichain", "yes", "antichain must be one of on, off, not 'yes'"),
     ("orders", "linaer", "orders must be one of partition, linear"),
-    ("interpolation", "farkass", "interpolation must be one of farkas, wp"),
     ("strategy", "bpe-lx", "unknown strategy 'bpe-lx'")],
-    ids=["antichain", "orders", "interpolation", "strategy"])
+    ids=["antichain", "orders", "strategy"])
 def test_misspelt_option_values_are_refused(tmp_path, capsys, key, value, msg):
-    # each of the first three ran another engine: the explicit-LTA
-    # baseline, partition orders, wp interpolation
+    # each of the first two ran another engine: the explicit-LTA
+    # baseline, partition orders
     with pytest.raises(ValueError, match=msg):
         cli._build_config({key: value})
     (tmp_path / "p.imp").write_text(UNSAFE_SRC)
     (tmp_path / "p.expect").write_text(json.dumps({"verdict": "unsafe", key: value}))
+    assert main(["bench", str(tmp_path)]) == 1
+    [line] = [l for l in capsys.readouterr().out.splitlines()
+              if l.startswith("p ")]
+    assert f"error: {msg}" in line and "MISMATCH" in line
+
+
+def test_interpolation_option_is_gone(tmpfiles, capsys):
+    # interpolation has one path (Farkas, then wp), so the option is refused
+    tmp_path, safe, unsafe = tmpfiles
+    assert main(["verify", safe, "--interpolation", "wp"]) == 64
+    (tmp_path / "unsafe.expect").write_text(
+        '{"verdict": "unsafe", "interpolation": "farkas"}')
+    with pytest.raises(ValueError, match=r"unknown .expect keys \['interpolation'\]"):
+        run_benchmark(unsafe)
+    capsys.readouterr()
+    assert main(["bench", str(tmp_path)]) == 1
+    [line] = [l for l in capsys.readouterr().out.splitlines()
+              if l.startswith("unsafe ")]
+    assert "error: unknown .expect keys" in line and "MISMATCH" in line
+
+
+def test_atomic_blocks_must_be_a_boolean(tmp_path, capsys):
+    # a JSON string is no boolean: "false" is a true value in Python
+    (tmp_path / "p.imp").write_text(UNSAFE_SRC)
+    (tmp_path / "p.expect").write_text(
+        '{"verdict": "unsafe", "atomic_blocks": "false"}')
+    msg = "atomic_blocks must be true or false, not 'false'"
+    with pytest.raises(ValueError, match=msg):
+        run_benchmark(str(tmp_path / "p.imp"))
     assert main(["bench", str(tmp_path)]) == 1
     [line] = [l for l in capsys.readouterr().out.splitlines()
               if l.startswith("p ")]
@@ -315,6 +345,28 @@ def test_check_dependence_flag(tmpfiles, capsys):
     _, safe, _ = tmpfiles
     assert main(["verify", safe, "--check-dependence", "--timeout", "60"]) == 0
     capsys.readouterr()
+
+
+def test_check_dependence_sees_an_order_that_blocks(solver):
+    # from x = 1 the assume runs before the decrement but not after it
+    dfa, _, _ = load_program("var x; { assume(x > 0); } || { x := x - 1; }")
+    free = DependenceRel(tuple(1 << i for i in range(len(dfa.alphabet))))
+    assert cli.check_dependence_soundness(dfa, free, solver) == [
+        tuple(sorted(s.id for s in dfa.alphabet))]
+
+
+def test_readme_lists_every_verify_flag_and_expect_key():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    table = readme.split("Useful flags for `verify`:")[1].split("\n\n")[1]
+    documented = set(re.findall(r"`(--[a-z][a-z-]*)", table))
+    [verify] = [a.choices["verify"] for a in cli.make_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)]
+    flags = {o for a in verify._actions
+             if not isinstance(a, argparse._HelpAction)
+             for o in a.option_strings}
+    assert documented == flags
+    sentence = re.search(r"Its keys are (.*?);", readme, re.S).group(1)
+    assert set(re.findall(r"`(\w+)`", sentence)) == cli.EXPECT_KEYS
 
 
 def test_bench_empty_dir(tmp_path, capsys):

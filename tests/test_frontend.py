@@ -131,6 +131,13 @@ def test_declaration_rules():
         assert str(e.value) == msg
 
 
+def test_copy_suffixes_must_differ():
+    # two copies with one suffix would share every variable
+    with pytest.raises(ParseError) as e:
+        parse_program("var w; block b { y := w; } copy 2 b as 1, 1;")
+    assert str(e.value) == "1:28: duplicate copy suffix '1'"
+
+
 @pytest.mark.parametrize("body", ["x := s;", "s := s + 1;"])
 def test_shared_names_must_be_declared(body):
     # a shared name keeps its name in every copy, so no copy declares it,

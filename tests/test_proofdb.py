@@ -18,6 +18,12 @@ def cmp(op, l, r):
     return atom_from_cmp(op, l, r)
 
 
+@pytest.fixture
+def wp_only(monkeypatch):
+    """interpolate without a Farkas chain: it takes the wp fallback."""
+    monkeypatch.setattr(proofdb, "_interpolate_farkas", lambda trace: None)
+
+
 def single_trace(src, length):
     dfa, dep, _ = load_program(src)
     words = [w for w in dfa.words_upto(length) if len(w) == length]
@@ -116,12 +122,12 @@ def test_edges_pack_and_unpack():
             sorted(edges)
 
 
-def test_proof_language_monotone(solver):
+def test_proof_language_monotone(solver, wp_only):
     dfa, dep, _ = load_program(
         "var x; assume(x = 0); x := x + 1; assume(x = 0);")
     cache = proofdb.EntailmentCache()
     trace = [w for w in dfa.words_upto(3) if len(w) == 3][0]
-    chain = proofdb.interpolate(list(trace), solver, engine="wp", cache=cache)
+    chain = proofdb.interpolate(list(trace), solver, cache=cache)
     small = proofdb.Proof()
     big = proofdb.Proof(chain[1:-1])
     nfa_small = proofdb.ProofNfaBuilder(dfa.alphabet, solver,
@@ -144,19 +150,19 @@ def test_feasible_and_model(solver):
     assert proofdb.feasible(trace2, solver) is None
 
 
-def test_interpolate_wp_spec_examples(solver):
+def test_interpolate_wp_spec_examples(solver, wp_only):
     cache = proofdb.EntailmentCache()
     _, trace = single_trace("var x; assume(x = 0); x := x + 1; assume(x = 0);", 3)
-    chain = proofdb.interpolate(trace, solver, engine="wp", cache=cache)
+    chain = proofdb.interpolate(trace, solver, cache=cache)
     assert chain[0] == TRUE and chain[-1] == FALSE
     assert chain[1] == cmp("!=", var("x"), num(-1))
     assert chain[2] == cmp("!=", var("x"), num(0))
 
     _, t1 = single_trace("var x; assume(x != x);", 1)
-    assert proofdb.interpolate(t1, solver, engine="wp", cache=cache) == [TRUE, FALSE]
+    assert proofdb.interpolate(t1, solver, cache=cache) == [TRUE, FALSE]
 
     _, t2 = single_trace("var x; assume(x > 0); assume(x < 0);", 2)
-    chain2 = proofdb.interpolate(t2, solver, engine="wp", cache=cache)
+    chain2 = proofdb.interpolate(t2, solver, cache=cache)
     # middle assertion is x >= 0 or anything triple-valid
     assert len(chain2) == 3
     for i in range(2):
@@ -175,17 +181,35 @@ def test_interpolate_farkas_chain_valid(solver):
     """
     dfa, dep, _ = load_program(src)
     trace = [w for w in dfa.words_upto(4) if len(w) == 4][0]
-    chain = proofdb.interpolate(list(trace), solver, engine="farkas", cache=cache)
+    chain = proofdb.interpolate(list(trace), solver, cache=cache)
     assert chain[0] == TRUE and chain[-1] == FALSE
     for i in range(len(trace)):
         assert proofdb.hoare_verdicts([(chain[i], trace[i], chain[i + 1])],
                                       solver, cache)[0]
 
 
+@pytest.mark.parametrize("src", [
+    "var x, y; x := 2 * y; assume(x = 1);",
+    "var x; " + " ".join(f"assume(x != {c});" for c in range(5))
+    + " assume(x = 2);",
+    "var x; assume(1 = 0);"],
+    ids=["rational-only", "five-disequalities", "false-guard"])
+def test_interpolate_falls_back_to_wp(solver, src):
+    # no Farkas chain: integer-only infeasibility, more disequalities than
+    # the case split takes, and a guard that is FALSE
+    dfa, _, _ = load_program(src)
+    [trace] = [list(w) for w in dfa.words_upto(len(dfa.alphabet))
+               if dfa.accepts(w)]
+    assert proofdb.feasible(trace, solver) is None
+    assert proofdb._interpolate_farkas(trace) is None
+    chain = proofdb.interpolate(trace, solver)
+    assert proofdb._chain_ok(chain, trace, solver, None)
+
+
 def test_interpolate_on_feasible_trace_raises(solver):
     _, trace = single_trace("var x; x := 1; assume(x = 1);", 2)
     with pytest.raises(proofdb.InterpolationError):
-        proofdb.interpolate(trace, solver, engine="wp")
+        proofdb.interpolate(trace, solver)
 
 
 def test_batch_matches_single(solver):
@@ -209,6 +233,18 @@ def test_in_process_faults_raise_solver_error(solver):
         solver.check_sat_batch([[("bogus",)]])
     # the client stays usable after a fault
     assert solver.check_sat([cmp("=", x, num(1))])[0] == "sat"
+
+
+def test_repeated_open_triple_is_sent_once():
+    # {x = 0 and y = 1} x := x + y {x = 1} needs the solver
+    _, [step] = single_trace("var x, y; x := x + y;", 1)
+    pre = exprs.c_and([cmp("=", var("x"), num(0)), cmp("=", var("y"), num(1))])
+    post = cmp("=", var("x"), num(1))
+    assert proofdb.syntactic_verdict(pre, step, post,
+                                     proofdb.wp_stmt(step, post)) is None
+    solver = proofdb.SolverClient()
+    assert proofdb.hoare_verdicts([(pre, step, post)] * 2, solver) == [True] * 2
+    assert solver.num_queries == 1
 
 
 def test_cache_counts_hits_and_misses():
@@ -255,6 +291,8 @@ def test_interpolate_validates_a_chain_in_one_batch(monkeypatch, engine):
         batches.append(len(queries))
         return real_batch(self, queries, deadline)
     dfa, v = _safe_run("sequential/mult_dist", True)
+    if engine == "wp":
+        monkeypatch.setattr(proofdb, "_interpolate_farkas", lambda trace: None)
     monkeypatch.setattr(proofdb, "_chain_ok", chain_ok)
     monkeypatch.setattr(proofdb.SolverClient, "check_sat_batch",
                         check_sat_batch)
@@ -265,6 +303,6 @@ def test_interpolate_validates_a_chain_in_one_batch(monkeypatch, engine):
         for trace in traces:
             chains.clear()
             batches.clear()
-            proofdb.interpolate(trace, solver, engine=engine)
+            proofdb.interpolate(trace, solver)
             assert len(batches) == len(chains) >= 1
             assert max(batches) <= len(trace)
