@@ -45,8 +45,10 @@ class RoundRecord:
     births: int = 0
     api_rows: int = 0              # proof-DFA rows the check built
     memo_hits: int = 0
-    # the round's queries to the loop's solver, and entailment-cache hits
+    # the round's lia solves and pool answers of the loop's solver, and
+    # entailment-cache hits
     solver_queries: int = 0
+    pool_hits: int = 0
     cache_hits: int = 0
 
     def as_dict(self) -> dict:
@@ -57,7 +59,8 @@ class RoundRecord:
 
 @dataclass
 class Safe:
-    proof: list                    # assertion formulas (canonical)
+    # the assertion formulas, proofdb.pack_proof: read them as .proof
+    packed_proof: bytes = field(repr=False)
     rounds: list
     stats: dict
     # the confirmed edges, proofdb.pack_edges; kept out of repr, since an
@@ -65,6 +68,11 @@ class Safe:
     edges: int = field(repr=False)
 
     verdict = "safe"
+
+    @property
+    def proof(self) -> list:
+        """The assertion formulas (canonical): true, false, then the rest."""
+        return proofdb.unpack_proof(self.packed_proof)
 
 
 @dataclass
@@ -170,7 +178,8 @@ def verify(program: Dfa, dep, config: VerifyConfig | None = None):
             if time.monotonic() > deadline:
                 return Unknown("timeout", rounds, stats)
 
-            queries0, hits0 = solver.num_queries, cache.hits
+            queries0, pool0, hits0 = (solver.num_queries, solver.pool_hits,
+                                      cache.hits)
             t0 = time.monotonic()
             nfa = builder.extend(proof)
             t_build = time.monotonic() - t0
@@ -187,7 +196,9 @@ def verify(program: Dfa, dep, config: VerifyConfig | None = None):
                 rounds.append(RoundRecord(
                     number, list(words), [fmt(f) for f in new_assertions],
                     len(proof), t_build, t_check, t_extract, t_refine,
-                    **counters, solver_queries=solver.num_queries - queries0,
+                    **counters,
+                    solver_queries=solver.num_queries - queries0,
+                    pool_hits=solver.pool_hits - pool0,
                     cache_hits=cache.hits - hits0))
 
             if covered:
@@ -200,8 +211,9 @@ def verify(program: Dfa, dep, config: VerifyConfig | None = None):
                     t_revalidate = time.monotonic() - t0
                 if edges is None:
                     return Unknown("revalidation failed", rounds, stats)
-                return Safe(list(proof), rounds, stats, proofdb.pack_edges(
-                    edges, program.alphabet, len(proof)))
+                return Safe(proofdb.pack_proof(proof), rounds, stats,
+                            proofdb.pack_edges(edges, program.alphabet,
+                                               len(proof)))
 
             t0 = time.monotonic()
             if cfg.strategy.kind == "naive":
@@ -259,6 +271,7 @@ def verify(program: Dfa, dep, config: VerifyConfig | None = None):
         stats.update(proof_size=len(proof), rounds=len(rounds),
                      cache_entries=len(cache),
                      solver_queries=solver.num_queries,
+                     pool_hits=solver.pool_hits,
                      cache_hits=cache.hits, cache_misses=cache.misses,
                      revalidate_time=t_revalidate)
         solver.close()

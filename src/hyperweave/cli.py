@@ -48,9 +48,14 @@ def formula_from_json(obj):
 def _build_config(options: dict) -> cegar.VerifyConfig:
     """The VerifyConfig named by option strings, keyed as in a .expect file
     and as verify's flags; an absent key takes the .expect default."""
-    timeout = float(options.get("timeout", 120))
+    timeout = options.get("timeout", 120)
+    if isinstance(timeout, bool) or not isinstance(timeout, (int, float)):
+        raise ValueError(f"timeout must be a number, not {timeout!r}")
     if not 0 < timeout < float("inf"):     # also false for nan
         raise ValueError(f"timeout must be finite and positive, not {timeout}")
+    strategy = options.get("strategy", "bpe-rr")
+    if not isinstance(strategy, str):
+        raise ValueError(f"strategy must be a string, not {strategy!r}")
 
     def choice(key, *allowed):             # the first one is the default
         value = options.get(key, allowed[0])
@@ -58,10 +63,10 @@ def _build_config(options: dict) -> cegar.VerifyConfig:
             raise ValueError(f"{key} must be one of {', '.join(allowed)}, not {value!r}")
         return value
     return cegar.VerifyConfig(
-        strategy=Strategy.parse(options.get("strategy", "bpe-rr")),
+        strategy=Strategy.parse(strategy),
         orders=LINEAR if choice("orders", "partition", "linear") == "linear" else PARTITION,
         use_antichain=choice("antichain", "on", "off") == "on",
-        timeout=timeout,
+        timeout=float(timeout),
     )
 
 
@@ -69,10 +74,11 @@ def _verdict_json(verdict, alphabet) -> dict:
     out = {"verdict": verdict.verdict, "stats": verdict.stats,
            "rounds": [r.as_dict() for r in verdict.rounds]}
     if verdict.verdict == "safe":
+        proof = verdict.proof
         out["proof"] = [{"display": exprs.fmt(f), "formula": formula_to_json(f)}
-                        for f in verdict.proof]
+                        for f in proof]
         out["edges"] = sorted(map(list, proofdb.unpack_edges(
-            verdict.edges, alphabet, len(verdict.proof))))
+            verdict.edges, alphabet, len(proof))))
     elif verdict.verdict == "unsafe":
         out["trace"] = [s.display for s in verdict.trace]
         out["trace_ids"] = [s.id for s in verdict.trace]
@@ -86,10 +92,11 @@ def _print_text(verdict, alphabet=None):
     """With alphabet given, a safe verdict's automaton is printed too."""
     print(f"verdict: {verdict.verdict.upper()}")
     if verdict.verdict == "safe":
-        n = len(verdict.proof)
+        proof = verdict.proof
+        n = len(proof)
         print(f"proof size: {n}")
         print("assertions:")
-        for i, f in enumerate(verdict.proof):
+        for i, f in enumerate(proof):
             print(f"  [{i}] {exprs.fmt(f)}")
         if alphabet is not None:
             edges = proofdb.unpack_edges(verdict.edges, alphabet, n)
@@ -118,9 +125,12 @@ def _print_text(verdict, alphabet=None):
     else:
         print(f"reason: {verdict.reason}")
     print(f"rounds: {len(verdict.rounds)}")
-    for key in ("proof_size", "solver_queries"):
-        if key in verdict.stats:
-            print(f"{key}: {verdict.stats[key]}")
+    stats = verdict.stats
+    if "proof_size" in stats:
+        print(f"proof_size: {stats['proof_size']}")
+    if "solver_queries" in stats:
+        print(f"solver_queries: {stats['solver_queries']} "
+              f"(pool hits: {stats['pool_hits']})")
 
 
 def check_dependence_soundness(dfa, dep, solver) -> list:

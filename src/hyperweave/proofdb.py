@@ -7,12 +7,13 @@ proof NFA's edges and each interpolation chain (all its triples in one
 batch, through the same cache) go through it, so a generation bug can never
 produce an unsound proof automaton.  Interpolation has one path: Farkas
 sequence interpolants, with weakest preconditions as the fallback.  A
-``safe`` verdict carries its edges as one ``pack_edges`` int; rebuilding its
-automaton needs no solver.
+``safe`` verdict carries its assertions packed by ``pack_proof`` and its
+edges as one ``pack_edges`` int; rebuilding its automaton needs no solver.
 """
 
 from __future__ import annotations
 
+import marshal
 import sys
 from dataclasses import dataclass
 from math import lcm
@@ -35,42 +36,59 @@ _LIA_ERRORS = (ValueError, exprs.NonlinearError, OverflowError, RecursionError)
 class SolverClient:
     """Satisfiability of conjunctions of canonical formulas, solved in this
     process by ``lia.solve_formula``.  An ``unknown`` answer or a solver
-    fault raises SolverError."""
+    fault raises SolverError.
+
+    The client keeps the models that ``lia`` finds in a pool (absent
+    variables read as 0).  ``check_sat_batch`` starts from the last POOL of
+    them and adds each model it finds at once; it answers ``sat`` without a
+    solve when a pool model satisfies every conjunct of a query: an exact
+    integer witness, so the answer is the one ``lia`` would give.
+    num_queries counts the ``lia`` solves, pool_hits the pool's answers.
+    """
+
+    BATCH = 400
+    POOL = 64
 
     def __init__(self):
         self.num_queries = 0
+        self.pool_hits = 0
+        self.pool: list = []       # model dicts, oldest first
 
-    @staticmethod
-    def _solve(formulas):
+    def _solve(self, formulas):
+        self.num_queries += 1
         try:
             res, model = lia.solve_formula(exprs.c_and(formulas))
         except _LIA_ERRORS as e:
             raise SolverError(f"solver raised {e!r}") from e
         if res not in ("sat", "unsat"):
             raise SolverError(f"solver answered {res!r} on: {_detail(formulas)}")
+        if model is not None:
+            self.pool.append(model)
         return res, model
 
     def check_sat(self, formulas):
         """Returns ('sat', model) / ('unsat', None); raises on unknown."""
-        self.num_queries += 1
         return self._solve(formulas)
-
-    BATCH = 400
 
     def check_sat_batch(self, queries, deadline: float | None = None) -> list:
         """Satisfiability of many conjunctions (no models).
 
-        queries: list of formula lists; returns 'sat'/'unsat' per entry.
+        queries: list of formula sequences; returns 'sat'/'unsat' per entry.
         They go in chunks of BATCH; between chunks, a passed deadline raises
         ResourceLimit('timeout').
         """
+        del self.pool[:-self.POOL]
+        masks: dict = {}           # formula -> (pool bitmask, models covered)
         out = []
         for lo in range(0, len(queries), self.BATCH):
             if lo:
                 check_deadline(deadline)
-            chunk = queries[lo: lo + self.BATCH]
-            self.num_queries += len(chunk)
-            out.extend(self._solve(formulas)[0] for formulas in chunk)
+            for formulas in queries[lo: lo + self.BATCH]:
+                if _pool_mask(formulas, self.pool, masks):
+                    self.pool_hits += 1
+                    out.append("sat")
+                else:
+                    out.append(self._solve(formulas)[0])
         return out
 
     def close(self):
@@ -81,6 +99,52 @@ class SolverClient:
 
     def __exit__(self, *exc):
         self.close()
+
+
+def _pool_mask(formulas, models, masks) -> int:
+    """Bit i set iff models[i] satisfies every formula."""
+    out = (1 << len(models)) - 1
+    for f in formulas:
+        if not out:
+            break
+        out &= _mask(f, models, masks)
+    return out
+
+
+def _mask(f, models, masks) -> int:
+    """Bit i set iff models[i] satisfies f.  masks memoizes each formula's
+    mask with the number of models it covers, and extends it only over the
+    models added since."""
+    n = len(models)
+    mask, done = masks.get(f, (0, 0))
+    if done == n:
+        return mask
+    tag = f[0]
+    if tag == "and":
+        mask = (1 << n) - 1
+        for g in f[1]:
+            mask &= _mask(g, models, masks)
+            if not mask:
+                break
+    elif tag == "or":
+        mask, full = 0, (1 << n) - 1
+        for g in f[1]:
+            mask |= _mask(g, models, masks)
+            if mask == full:
+                break
+    elif tag == "true":
+        mask = (1 << n) - 1
+    elif tag in ("le", "eq", "ne"):
+        _, coeffs, k = f
+        for i in range(done, n):
+            m = models[i]
+            t = k
+            for v, a in coeffs:
+                t += a * m.get(v, 0)
+            if (t <= 0) if tag == "le" else (t == 0) == (tag == "eq"):
+                mask |= 1 << i
+    masks[f] = (mask, n)
+    return mask
 
 
 def _detail(formulas) -> str:
@@ -146,14 +210,16 @@ def hoare_verdicts(triples, solver: SolverClient,
     repeats.  New verdicts go into the cache.  deadline is passed on to
     SolverClient.check_sat_batch."""
     cache = cache if cache is not None else EntailmentCache()
-    out: list = []
+    out: list = []                 # a verdict, or the index of its query
     wps: dict = {}                 # (stmt id, post) -> [wp, negated wp]
-    pending: dict = {}             # cache key -> its indices into out
+    pending: dict = {}             # cache key -> the index of its query
     queries: list = []
     for pre, stmt, post in triples:
         key = (pre, stmt.id, post)
         verdict = cache.get(key)
-        if verdict is None and key not in pending:
+        if verdict is None:
+            verdict = pending.get(key)
+        if verdict is None:
             wp = wps.get(key[1:])
             if wp is None:
                 wp = wps[key[1:]] = [wp_stmt(stmt, post), None]
@@ -161,38 +227,55 @@ def hoare_verdicts(triples, solver: SolverClient,
             if verdict is None:
                 if wp[1] is None:
                     wp[1] = exprs.negate(wp[0])
-                pending[key] = []
-                queries.append([pre, wp[1]])
+                verdict = pending[key] = len(queries)
+                queries.append((pre, wp[1]))
             else:
                 cache.put(key, verdict)
-        if verdict is None:
-            pending[key].append(len(out))
         out.append(verdict)
-    for (key, ks), res in zip(pending.items(),
-                              solver.check_sat_batch(queries, deadline)):
-        cache.put(key, res == "unsat")
-        for k in ks:
-            out[k] = res == "unsat"
-    return out
+    valid = [res == "unsat"
+             for res in solver.check_sat_batch(queries, deadline)]
+    for key, q in pending.items():
+        cache.put(key, valid[q])
+    # a bool is an int too: only a plain int is a query index
+    return [valid[v] if v.__class__ is int else v for v in out]
 
 
 # ------------------------------------------------------------------- proof
 
 class Proof:
-    """Deduplicated assertions: true at index 0, false at 1, then the rest."""
+    """Deduplicated assertions: true at index 0, false at 1, then the rest.
+
+    Equal subterms of the assertions are one object: each atom and each
+    (var, coeff) pair is stored once however many assertions hold it."""
 
     def __init__(self, assertions=()):
         self.assertions: list = [TRUE, FALSE]
         self._index = {TRUE: 0, FALSE: 1}
+        self._atoms: dict = {}
+        self._pairs: dict = {}
         for f in assertions:
             self.add(f)
 
     def add(self, f) -> bool:
         if f in self._index:
             return False
+        f = self._share(f)
         self._index[f] = len(self.assertions)
         self.assertions.append(f)
         return True
+
+    def _share(self, f):
+        tag = f[0]
+        if tag in ("and", "or"):
+            return (tag, tuple([self._share(g) for g in f[1]]))
+        if tag in ("true", "false"):
+            return f
+        atom = self._atoms.get(f)
+        if atom is None:
+            pairs = self._pairs
+            atom = self._atoms[f] = (
+                tag, tuple([pairs.setdefault(p, p) for p in f[1]]), f[2])
+        return atom
 
     def __len__(self):
         return len(self.assertions)
@@ -221,12 +304,14 @@ class ProofNfaBuilder:
     def extend(self, proof: Proof) -> Nfa:
         old_n, n, fs = self.n, len(proof), proof.assertions
         self.n = n
-        new = [(i, stmt, j) for stmt in self.alphabet for j in range(n)
-               for i in range(n) if i >= old_n or j >= old_n]
-        verdicts = hoare_verdicts([(fs[i], stmt, fs[j]) for i, stmt, j in new],
+
+        def new():                 # the triples that involve a new assertion
+            return ((i, stmt, j) for stmt in self.alphabet for j in range(n)
+                    for i in range(n) if i >= old_n or j >= old_n)
+        verdicts = hoare_verdicts([(fs[i], stmt, fs[j]) for i, stmt, j in new()],
                                   self.solver, self.cache, self.deadline)
-        self.edges.update((i, stmt.id, j)
-                          for (i, stmt, j), valid in zip(new, verdicts) if valid)
+        self.edges.update((i, stmt.id, j) for (i, stmt, j), valid
+                          in zip(new(), verdicts) if valid)
         return proof_nfa(n, self.alphabet, self.edges)
 
 
@@ -238,6 +323,16 @@ def proof_nfa(n: int, alphabet, edges) -> Nfa:
     for (i, sid, j) in edges:
         trans.setdefault((i, stmt_by_id[sid]), set()).add(j)
     return Nfa(n, tuple(alphabet), trans, 0, {1})
+
+
+def pack_proof(assertions) -> bytes:
+    """Assertion formulas as one bytes object, each subterm that several of
+    them share stored once; unpack_proof reads it."""
+    return marshal.dumps(list(assertions))
+
+
+def unpack_proof(packed: bytes) -> list:
+    return marshal.loads(packed)
 
 
 def pack_edges(edges, alphabet, n: int) -> int:

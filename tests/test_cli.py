@@ -130,6 +130,8 @@ def test_no_solver_call_after_verify(tmpfiles, capsys, monkeypatch, fmt):
     if fmt == "text":
         assert "proof automaton (determinized):" in out
         assert " -> " in out
+        assert re.search(r"^solver_queries: \d+ \(pool hits: \d+\)$", out,
+                         re.MULTILINE)
     else:
         assert json.loads(out)["edges"]
 
@@ -229,6 +231,29 @@ def test_misspelt_option_values_are_refused(tmp_path, capsys, key, value, msg):
     [line] = [l for l in capsys.readouterr().out.splitlines()
               if l.startswith("p ")]
     assert f"error: {msg}" in line and "MISMATCH" in line
+
+
+@pytest.mark.parametrize("key, value, msg", [
+    ("timeout", True, "timeout must be a number, not True"),
+    ("timeout", "30", "timeout must be a number, not '30'"),
+    ("strategy", 5, "strategy must be a string, not 5")],
+    ids=["timeout-bool", "timeout-string", "strategy-int"])
+def test_option_values_of_the_wrong_json_type_are_refused(tmp_path, capsys,
+                                                          key, value, msg):
+    # true ran with a 1 s budget, "30" with 30 s, and 5 raised an
+    # AttributeError that named no key
+    with pytest.raises(ValueError, match=msg):
+        cli._build_config({key: value})
+    (tmp_path / "p.imp").write_text(UNSAFE_SRC)
+    (tmp_path / "p.expect").write_text(json.dumps({"verdict": "unsafe", key: value}))
+    assert main(["bench", str(tmp_path)]) == 1
+    [line] = [l for l in capsys.readouterr().out.splitlines()
+              if l.startswith("p ")]
+    assert f"error: {msg}" in line and "MISMATCH" in line
+
+
+def test_an_integer_timeout_is_a_number():
+    assert cli._build_config({"timeout": 5}).timeout == 5.0
 
 
 def test_interpolation_option_is_gone(tmpfiles, capsys):

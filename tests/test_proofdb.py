@@ -76,11 +76,111 @@ def test_hoare_verdicts_stop_between_batches_at_the_deadline():
     solver = proofdb.SolverClient()
     with pytest.raises(ResourceLimit, match="timeout"):
         proofdb.hoare_verdicts(triples, solver, deadline=time.monotonic() - 1)
-    assert solver.num_queries == proofdb.SolverClient.BATCH
+    assert solver.num_queries + solver.pool_hits == proofdb.SolverClient.BATCH
     verdicts = proofdb.hoare_verdicts(triples, solver)
-    assert solver.num_queries > 2 * proofdb.SolverClient.BATCH
+    assert solver.num_queries + solver.pool_hits > 2 * proofdb.SolverClient.BATCH
     assert verdicts == [proofdb.hoare_verdicts([t], solver, None)[0]
                         for t in triples]
+
+
+def _random_formula(rng, names, depth=2):
+    if depth == 0 or rng.random() < 0.4:
+        lhs = ("add", ("mul", num(rng.randint(-2, 2)), var(rng.choice(names))),
+               var(rng.choice(names)))
+        return cmp(rng.choice(["<", "<=", "=", "!=", ">", ">="]), lhs,
+                   num(rng.randint(-3, 3)))
+    parts = [_random_formula(rng, names, depth - 1)
+             for _ in range(rng.randint(2, 3))]
+    return (exprs.c_and if rng.random() < 0.5 else exprs.c_or)(parts)
+
+
+def test_a_warm_pool_gives_the_verdicts_of_fresh_solvers():
+    _, trace = single_trace(
+        "var x, y, z; x := x + y; assume(y > z); y := 2 * z - x; z := 0;", 4)
+    rng = random.Random(3)
+    formulas = [_random_formula(rng, ["x", "y", "z"]) for _ in range(40)]
+    warm = proofdb.SolverClient()
+    for _ in range(6):
+        triples = [(rng.choice(formulas), rng.choice(trace),
+                    rng.choice(formulas)) for _ in range(50)]
+        fresh = [proofdb.hoare_verdicts([t], proofdb.SolverClient())[0]
+                 for t in triples]
+        assert proofdb.hoare_verdicts(triples, warm) == fresh
+    assert warm.pool_hits > warm.num_queries > 0
+
+
+def test_the_pool_answers_only_queries_its_models_satisfy():
+    x_pos, x_zero = cmp(">", var("x"), num(0)), cmp("=", var("x"), num(0))
+    solver = proofdb.SolverClient()
+    solver.pool[:] = [{"x": 0, "y": 7}, {"y": 1}]
+    # satisfiable, but by no planted model: lia decides it
+    assert solver.check_sat_batch([[x_pos]]) == ["sat"]
+    assert (solver.num_queries, solver.pool_hits) == (1, 0)
+    # an absent variable reads as 0
+    solver.pool[:] = [{"y": 1}]
+    assert solver.check_sat_batch([[x_zero, cmp("=", var("y"), num(1))]]) \
+        == ["sat"]
+    assert (solver.num_queries, solver.pool_hits) == (1, 1)
+    # unsatisfiable queries never meet a pool model
+    assert solver.check_sat_batch([[x_pos, exprs.negate(x_pos)], [FALSE]]) \
+        == ["unsat", "unsat"]
+    assert (solver.num_queries, solver.pool_hits) == (3, 1)
+
+
+def test_a_model_found_in_a_batch_serves_the_rest_of_it():
+    x5, x_ge5 = cmp("=", var("x"), num(5)), cmp(">=", var("x"), num(5))
+    solver = proofdb.SolverClient()
+    assert solver.check_sat_batch([[x5], [x_ge5], [x_ge5, x5]]) == ["sat"] * 3
+    assert (solver.num_queries, solver.pool_hits) == (1, 2)
+    assert solver.pool == [{"x": 5}]
+
+
+def test_a_batch_starts_from_the_last_models():
+    solver = proofdb.SolverClient()
+    queries = [[cmp("=", var("x"), num(i))] for i in range(100)]
+    assert solver.check_sat_batch(queries) == ["sat"] * 100
+    assert solver.check_sat([cmp("=", var("x"), num(100))])[0] == "sat"
+    assert len(solver.pool) == 101
+    # x = 36 is the 65th model from the end: no longer in the pool
+    assert solver.check_sat_batch([[cmp(">=", var("x"), num(37))],
+                                   [cmp("=", var("x"), num(36))]]) == ["sat"] * 2
+    assert (solver.num_queries, solver.pool_hits) == (102, 1)
+    assert solver.pool == [{"x": i} for i in range(37, 101)] + [{"x": 36}]
+
+
+def test_revalidation_starts_with_an_empty_pool(monkeypatch):
+    pools = []
+    real = proofdb.hoare_verdicts
+
+    def hoare_verdicts(triples, solver, cache=None, deadline=None):
+        pools.append((cache, len(solver.pool)))
+        return real(triples, solver, cache, deadline)
+    monkeypatch.setattr(proofdb, "hoare_verdicts", hoare_verdicts)
+    dfa, dep, _ = load_program(open(os.path.join(
+        BENCH_DIR, "parallel", "simpleinc.imp")).read())
+    v = verify(dfa, dep, VerifyConfig(timeout=60))
+    assert v.verdict == "safe" and v.stats["pool_hits"] > 0
+    *loop, (cache, size) = pools
+    assert cache is None and size == 0
+    assert any(n > 0 for _, n in loop)
+
+
+def test_proof_shares_equal_subterms_and_packs_them_once():
+    def atom():                    # a new object each call
+        return cmp("<=", ("add", var("x"), num(1)), var("y"))
+    f = exprs.c_and([atom(), cmp("=", var("y"), num(2))])
+    g = exprs.c_or([atom(), cmp("=", var("x"), num(3))])
+    assert atom() is not atom()
+    proof = proofdb.Proof([f, g])
+    assert proof.assertions[2:] == [f, g]
+    [shared] = [a for a in proof.assertions[2][1] if a == atom()]
+    assert [a for a in proof.assertions[3][1] if a == atom()][0] is shared
+    # ("x", 1) is in both atoms of g, once
+    x_pairs = [p for a in proof.assertions[3][1] for p in a[1] if p == ("x", 1)]
+    assert len(x_pairs) == 2 and x_pairs[0] is x_pairs[1]
+    packed = proofdb.pack_proof(proof)
+    assert proofdb.unpack_proof(packed) == proof.assertions
+    assert len(packed) < len(proofdb.pack_proof([exprs.TRUE, exprs.FALSE, f, g]))
 
 
 def test_proof_nfa_trivial_pi(solver):
