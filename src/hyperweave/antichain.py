@@ -114,8 +114,8 @@ def fmax_step(table, qp: int, qpi: int, ap: Dfa, api: Dfa, dep,
     """One cell update: the maximal sleep sets making ((qp,_,S),qpi) inactive.
 
     `table` maps (qp, qpi) -> antichain list.  This is the reference
-    meet-over-orders/join-over-successors computation; the engine uses it for
-    linear orders and a collapsed equivalent for partition orders.
+    meet-over-orders/join-over-successors computation, kept for the tests to
+    check the engine's cell updates against; the engine does not call it.
     """
     k = len(ap.alphabet)
     full = (1 << k) - 1

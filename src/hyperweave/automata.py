@@ -7,9 +7,9 @@ A LazyDfa is the subset construction of an Nfa built one row at a time; it
 and Dfa share the read interface ``alphabet``, ``initial``, ``row(q)`` and
 ``is_final(q)``.  A proof automaton is read only through that interface on
 a LazyDfa; the eager ``determinize`` is kept for the explicit-LTA baseline
-and for small explicit DFAs (``from_words``).  Program lowering calls it on
-fragments that are already deterministic, where it only numbers the states
-breadth-first and adds the sink.
+and for ``from_words``.  ``minimize`` gives the canonical minimal DFA of a
+language, its states numbered breadth-first; program lowering builds its
+DFAs directly and normalizes them with it alone.
 """
 
 from __future__ import annotations
@@ -282,30 +282,32 @@ def equivalent(a: Dfa, b: Dfa) -> bool:
 
 
 def minimize(dfa: Dfa) -> Dfa:
-    """Moore partition refinement (merges language-equivalent states)."""
-    k = len(dfa.alphabet)
+    """The minimal complete DFA of L(dfa), in canonical form: Moore
+    partition refinement merges language-equivalent states, then the blocks
+    reachable from the initial one are numbered breadth-first, letters in
+    alphabet order, and the others dropped.  So minimize(d) depends only on
+    L(d) and the order of d.alphabet, and minimize(minimize(d)) == minimize(d).
+    """
     block = [1 if q in dfa.finals else 0 for q in range(dfa.n)]
     while True:
         sigs = {}
-        new_block = []
-        for q in range(dfa.n):
-            sig = (block[q],) + tuple(block[dfa.delta[q][j]] for j in range(k))
-            if sig not in sigs:
-                sigs[sig] = len(sigs)
-            new_block.append(sigs[sig])
+        new_block = [sigs.setdefault((block[q], *map(block.__getitem__, row)),
+                                     len(sigs))
+                     for q, row in enumerate(dfa.delta)]
         if new_block == block:
             break
         block = new_block
-    nblocks = max(block) + 1 if block else 1
-    rep = {}
-    for q in range(dfa.n):
-        rep.setdefault(block[q], q)
+    ids = {block[dfa.initial]: 0}      # block -> its number
+    reps = [dfa.initial]               # the first state reached in each block
     delta = []
-    for b in range(nblocks):
-        q = rep[b]
-        delta.append([block[dfa.delta[q][j]] for j in range(k)])
-    finals = frozenset(block[q] for q in dfa.finals)
-    return Dfa(dfa.alphabet, delta, block[dfa.initial], finals)
+    for q in reps:                     # grows as blocks are reached
+        for t in dfa.delta[q]:
+            if block[t] not in ids:
+                ids[block[t]] = len(reps)
+                reps.append(t)
+        delta.append([ids[block[t]] for t in dfa.delta[q]])
+    finals = frozenset(i for i, q in enumerate(reps) if q in dfa.finals)
+    return Dfa(dfa.alphabet, delta, 0, finals)
 
 
 def from_words(words, alphabet) -> Dfa:

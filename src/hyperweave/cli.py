@@ -47,8 +47,8 @@ def formula_from_json(obj):
 
 def _build_config(options: dict) -> cegar.VerifyConfig:
     """The VerifyConfig named by option strings, keyed as in a .expect file
-    and as verify's flags; an absent key takes the .expect default."""
-    timeout = options.get("timeout", 120)
+    and as verify's flags; an absent key takes VerifyConfig's default."""
+    timeout = options.get("timeout", cegar.VerifyConfig.timeout)
     if isinstance(timeout, bool) or not isinstance(timeout, (int, float)):
         raise ValueError(f"timeout must be a number, not {timeout!r}")
     if not 0 < timeout < float("inf"):     # also false for nan
@@ -134,7 +134,7 @@ def _print_text(verdict, alphabet=None):
 
 
 def check_dependence_soundness(dfa, dep, solver) -> list:
-    """SMT check that every independent pair commutes; returns violations."""
+    """The independent pairs that do not commute, asked of the lia solver."""
     bad = []
     stmts = dfa.alphabet
     for i, a in enumerate(stmts):
@@ -346,7 +346,7 @@ def make_parser() -> argparse.ArgumentParser:
                     default="partition")
     pv.add_argument("--antichain", choices=["on", "off"], default="on")
     pv.add_argument("--atomic-blocks", action="store_true")
-    pv.add_argument("--timeout", type=float, default=300.0)
+    pv.add_argument("--timeout", type=float, default=cegar.VerifyConfig.timeout)
     pv.add_argument("--stats", default=None, help="write per-round JSONL here")
     pv.add_argument("--format", choices=["text", "json"], default="text")
     pv.add_argument("--check-dependence", action="store_true")

@@ -13,12 +13,13 @@ for plain statements, several for fused atomic blocks).
 Each node is lowered after a set of entry states and returns the states
 that end it, so no fragment has an epsilon edge; every statement is a letter
 of its own, so a fragment is deterministic, as a position automaton is
-(Berry & Sethi 1986).  ``determinize`` numbers it breadth-first and
-``minimize``, the one normalizer, merges its dead states.  A shuffle product
-is embedded with only its live states, its first letters leaving every
-entry.  Every statement, fused or not, takes its id from one counter, so
-emitted alphabets are in id order without ties, and renumbering ids permutes
-no column.
+(Berry & Sethi 1986): its transitions map (state, statement) to one target.
+``_complete`` adds the sink and hands the DFA to ``minimize``, the one
+normalizer, which merges dead states and numbers states breadth-first.  A
+shuffle product is embedded with only its live states, its first letters
+leaving every entry.  Every statement, fused or not, takes its id from one
+counter, so emitted alphabets are in id order without ties, and renumbering
+ids permutes no column.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import re
 from dataclasses import dataclass
 
 from . import exprs
-from .automata import Dfa, Nfa, determinize, minimize, shuffle
+from .automata import Dfa, minimize, shuffle
 
 
 class ParseError(Exception):
@@ -451,7 +452,8 @@ def compute_dependence(dfa: Dfa) -> DependenceRel:
 # ---------------------------------------------------------------- lowering
 
 class _Fragment:
-    """Mutable epsilon-free NFA fragment over provisional Stmt objects."""
+    """A mutable deterministic fragment over provisional Stmt objects:
+    trans maps (state, stmt) to the one target state."""
 
     def __init__(self):
         self.n = 0
@@ -464,7 +466,7 @@ class _Fragment:
     def edge(self, sources, stmt: Stmt, v: int):
         """An edge labelled stmt from each state of sources to v."""
         for u in sources:
-            self.trans.setdefault((u, stmt), set()).add(v)
+            self.trans[u, stmt] = v
 
     def embed_dfa(self, dfa: Dfa, entries: set) -> set:
         """Copy a DFA's live states, and the edges between them, into this
@@ -553,7 +555,7 @@ class _Lowerer:
             for bi, branch in enumerate(node.branches):
                 dfa = self.fragment_dfa(branch, region + ((par_id, bi),))
                 if self.atomic:
-                    dfa = minimize(fuse_chains(dfa, self.counter))
+                    dfa = fuse_chains(dfa, self.counter)
                 branch_dfas.append(dfa)
             prod = branch_dfas[0]
             for d in branch_dfas[1:]:
@@ -565,14 +567,20 @@ class _Lowerer:
         """node lowered on its own, from a fresh initial state."""
         frag = _Fragment()
         init = frag.state()
-        return self._to_dfa(frag, init, self.compile(node, region, frag, {init}))
+        fins = self.compile(node, region, frag, {init})
+        return _complete(frag.n, frag.trans, init, fins)
 
-    @staticmethod
-    def _to_dfa(frag: _Fragment, init: int, fins: set) -> Dfa:
-        # determinize numbers the (already deterministic) fragment's states
-        # breadth-first and adds the sink; minimize keeps that order
-        stmts = sorted({s for (_, s) in frag.trans}, key=lambda s: s.id)
-        return minimize(determinize(Nfa(frag.n, tuple(stmts), frag.trans, init, fins)))
+
+def _complete(n: int, trans: dict, init: int, finals) -> Dfa:
+    """The minimized DFA of states 0..n-1 with trans mapping (state, stmt)
+    to one target, completed by a sink; its statements are those of trans,
+    in id order."""
+    stmts = sorted({s for (_, s) in trans}, key=lambda s: s.id)
+    idx = {s: i for i, s in enumerate(stmts)}
+    delta = [[n] * len(stmts) for _ in range(n + 1)]
+    for (u, st), v in trans.items():
+        delta[u][idx[st]] = v
+    return minimize(Dfa(tuple(stmts), delta, init, frozenset(finals)))
 
 
 def fuse_chains(dfa: Dfa, counter) -> Dfa:
@@ -582,7 +590,7 @@ def fuse_chains(dfa: Dfa, counter) -> Dfa:
     initial, has exactly one live in-edge and one live out-edge, both edges'
     statements occur nowhere else, and both belong to the same region.
     Fused statements take their ids from counter, the lowerer's id source.
-    The result is complete, not minimal: every caller minimizes it.
+    The result is minimized; the fused-away states are dropped there.
     """
     live = dfa.live_states()
     edges: dict[int, list] = {}
@@ -621,18 +629,8 @@ def fuse_chains(dfa: Dfa, counter) -> Dfa:
                 del occur[st1], occur[st2]
                 occur[fused] = 1
 
-    stmts = sorted(occur, key=lambda s: s.id)
-    states = sorted(edges.keys() | {dfa.initial} | {q for q in dfa.finals if q in live})
-    remap = {q: i for i, q in enumerate(states)}
-    sink = len(states)
-    delta = [[sink] * len(stmts) for _ in states]
-    idx = {s: i for i, s in enumerate(stmts)}
-    for u, es in edges.items():
-        for st, v in es:
-            delta[remap[u]][idx[st]] = remap[v]
-    delta.append([sink] * len(stmts))
-    finals = frozenset(remap[q] for q in dfa.finals if q in remap)
-    return Dfa(tuple(stmts), delta, remap[dfa.initial], finals)
+    trans = {(u, st): v for u, es in edges.items() for st, v in es}
+    return _complete(dfa.n, trans, dfa.initial, dfa.finals)
 
 
 def lower_to_dfa(ast: Ast, atomic: bool = False) -> Dfa:
@@ -640,7 +638,7 @@ def lower_to_dfa(ast: Ast, atomic: bool = False) -> Dfa:
     lo = _Lowerer(atomic)
     dfa = lo.fragment_dfa(ast.body, ())
     if atomic:
-        dfa = minimize(fuse_chains(dfa, lo.counter))
+        dfa = fuse_chains(dfa, lo.counter)
     # dense statement ids; the alphabet is already in id order
     for i, s in enumerate(dfa.alphabet):
         s.id = i

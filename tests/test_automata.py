@@ -175,3 +175,26 @@ def test_minimize_preserves_language():
         small = minimize(dfa)
         assert small.n <= dfa.n
         assert equivalent(dfa, small)
+
+
+def test_minimize_is_canonical():
+    # states renumbered at random, plus unreachable states: minimize gives
+    # the same Dfa for every variant
+    rng = random.Random(20)
+    for _ in range(200):
+        dfa = determinize(random_nfa(rng, rng.randint(1, 5), ("a", "b")))
+        small = minimize(dfa)
+        assert minimize(small) == small
+        assert equivalent(small, dfa)
+        for _ in range(4):
+            n = dfa.n + rng.randint(0, 3)
+            perm = rng.sample(range(n), n)
+            delta = [None] * n
+            for q in range(n):
+                row = (dfa.delta[q] if q < dfa.n else
+                       [rng.randrange(n) for _ in dfa.alphabet])
+                delta[perm[q]] = [perm[t] for t in row]
+            finals = frozenset(perm[q] for q in range(n) if q in dfa.finals
+                               or q >= dfa.n and rng.random() < 0.5)
+            variant = Dfa(dfa.alphabet, delta, perm[dfa.initial], finals)
+            assert minimize(variant) == small

@@ -256,6 +256,14 @@ def test_an_integer_timeout_is_a_number():
     assert cli._build_config({"timeout": 5}).timeout == 5.0
 
 
+def test_defaults_are_those_of_verify_config():
+    # a .expect without options and verify without flags both run with
+    # VerifyConfig's defaults
+    assert cli._build_config({}) == cegar.VerifyConfig()
+    args = cli.make_parser().parse_args(["verify", "p.imp"])
+    assert cli._build_config(vars(args)) == cegar.VerifyConfig()
+
+
 def test_interpolation_option_is_gone(tmpfiles, capsys):
     # interpolation has one path (Farkas, then wp), so the option is refused
     tmp_path, safe, unsafe = tmpfiles

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from hyperweave import exprs, frontend
-from hyperweave.automata import from_words, minimize, shuffle
+from hyperweave.automata import Dfa, from_words, minimize, shuffle
 from hyperweave.frontend import (Assign, Assume, If, Par, ParseError, Seq,
                                  Stmt, While, compute_dependence, concurrent,
                                  load_program, lower_to_dfa, parse_program,
@@ -241,19 +241,17 @@ BUNDLED = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..",
 @pytest.mark.parametrize("atomic", [False, True])
 def test_lowering_is_normalized_by_minimize_alone(monkeypatch, atomic):
     # lower_to_dfa merges dead states only through minimize and renumbers
-    # statements without permuting columns: that needs every DFA _to_dfa
-    # and fuse_chains emit to list its statements in id order, with no id
-    # twice (a tie would be ordered by set iteration)
+    # statements without permuting columns: that needs every DFA _complete
+    # emits (fuse_chains' too) to list its statements in id order, with no
+    # id twice (a tie would be ordered by set iteration)
     emitted = []                   # statement ids as each DFA is emitted
-    real_fuse, real_to_dfa = frontend.fuse_chains, frontend._Lowerer._to_dfa
+    real_complete = frontend._complete
 
     def record(dfa):
         emitted.append([s.id for s in dfa.alphabet])
         return dfa
-    monkeypatch.setattr(frontend, "fuse_chains",
-                        lambda *a: record(real_fuse(*a)))
-    monkeypatch.setattr(frontend._Lowerer, "_to_dfa",
-                        staticmethod(lambda *a: record(real_to_dfa(*a))))
+    monkeypatch.setattr(frontend, "_complete",
+                        lambda *a: record(real_complete(*a)))
     assert len(BUNDLED) >= 13
     for path in BUNDLED:
         emitted.clear()
@@ -262,9 +260,18 @@ def test_lowering_is_normalized_by_minimize_alone(monkeypatch, atomic):
         assert emitted
         assert all(ids == sorted(ids) for ids in emitted), path
         assert all(len(set(ids)) == len(ids) for ids in emitted), path
-        assert minimize(dfa).n == dfa.n, path
+        assert minimize(dfa) == dfa, path
         assert dfa.n - len(dfa.live_states()) <= 1, path
         assert [s.id for s in dfa.alphabet] == list(range(len(dfa.alphabet)))
+
+
+@pytest.mark.parametrize("atomic", [False, True])
+def test_equal_languages_lower_to_equal_dfas(atomic):
+    # an empty body and a parallel composition of empty blocks both accept
+    # only the empty word; no lowering keeps an unreachable sink
+    empty = lower_to_dfa(parse_program("var x;"), atomic=atomic)
+    par = lower_to_dfa(parse_program("var x; {} || {}"), atomic=atomic)
+    assert empty == par == Dfa((), [[]], 0, frozenset({0}))
 
 
 def _cat(xs: set, ys: set, n: int) -> set:
@@ -330,19 +337,19 @@ def _lowering_dump(text: str, atomic: bool) -> str:
 # the first 16 hex digits of the SHA-256 of each bundled program's
 # _lowering_dump, with atomic blocks off and on
 LOWERING_DIGESTS = {
-    "nonatomic/mult_dist": ("3f228791baeb5be8", "6290bdb910fe50c6"),
-    "nonatomic/mult_dist_flipped": ("b24f2b092a062f0b", "3f88e6cd23218f85"),
-    "parallel/parallelsum1_det": ("aa57c7f4ad8b7b43", "d618a30369e698ef"),
-    "parallel/simpleinc": ("6c61b864a873f4a1", "c28dc713d1d289d7"),
-    "parallel/spaghetti": ("ce3e714a9d460172", "4fd52bd24ba77f5d"),
-    "sequential/arrayeq_symm": ("4fd4a6aa80f85e00", "f3ea1d1606304897"),
-    "sequential/mult_dist": ("3f228791baeb5be8", "6290bdb910fe50c6"),
-    "sequential/mult_dist_flipped": ("b24f2b092a062f0b", "3f88e6cd23218f85"),
-    "sequential/security_sec": ("324852644eb6456b", "1c81eeee95b8bde0"),
-    "stress/exp1x3": ("e2fd6a326cbc0387", "68791262914ca5f2"),
-    "stress/exp2x2": ("fd6e268be4bee483", "a844a34aacc03952"),
-    "stress/exp2x3": ("a3286f88d349d6a7", "f296dd9374f25c17"),
-    "unsafe/mult_dist_unsafe": ("3e1b85820bd8ed5c", "5754ec3543d2d0ab"),
+    "nonatomic/mult_dist": ("3f228791baeb5be8", "c1b9ef53e05e67a6"),
+    "nonatomic/mult_dist_flipped": ("b24f2b092a062f0b", "d05553b9d3740534"),
+    "parallel/parallelsum1_det": ("aa57c7f4ad8b7b43", "aa57c7f4ad8b7b43"),
+    "parallel/simpleinc": ("6c61b864a873f4a1", "c994d0927cff70cc"),
+    "parallel/spaghetti": ("ce3e714a9d460172", "f0e5ffe7792f4345"),
+    "sequential/arrayeq_symm": ("4fd4a6aa80f85e00", "5a0ac59035f07d2a"),
+    "sequential/mult_dist": ("3f228791baeb5be8", "c1b9ef53e05e67a6"),
+    "sequential/mult_dist_flipped": ("b24f2b092a062f0b", "d05553b9d3740534"),
+    "sequential/security_sec": ("324852644eb6456b", "a0f6387d8ac9f10a"),
+    "stress/exp1x3": ("e2fd6a326cbc0387", "0f7dbf2aa49733e2"),
+    "stress/exp2x2": ("fd6e268be4bee483", "288548b8aa3c7610"),
+    "stress/exp2x3": ("a3286f88d349d6a7", "0218061c03498d01"),
+    "unsafe/mult_dist_unsafe": ("3e1b85820bd8ed5c", "925c049f172823c0"),
 }
 
 
@@ -357,7 +364,11 @@ def test_bundled_lowerings_are_pinned():
         got[name] = tuple(
             hashlib.sha256(_lowering_dump(text, atomic).encode()).hexdigest()[:16]
             for atomic in (False, True))
-    assert got == LOWERING_DIGESTS
+    replacement = "".join(f'    "{name}": ("{off}", "{on}"),\n'
+                          for name, (off, on) in sorted(got.items()))
+    assert got == LOWERING_DIGESTS, (
+        "if the lowering changed on purpose, paste in\n"
+        f"LOWERING_DIGESTS = {{\n{replacement}}}")
 
 
 def test_dependence_same_thread():
