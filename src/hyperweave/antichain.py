@@ -59,13 +59,6 @@ def ac_insert(items: list, m: int) -> bool:
     return True
 
 
-def ac_join(x, y) -> list:
-    out = list(x)
-    for m in y:
-        ac_insert(out, m)
-    return out
-
-
 def ac_meet(x, y) -> list:
     out: list = []
     for a in x:
@@ -76,19 +69,6 @@ def ac_meet(x, y) -> list:
 
 def _antichain_eq(x, y) -> bool:
     return len(x) == len(y) and set(x) == set(y)
-
-
-def downset(items, k: int) -> frozenset:
-    """Explicit downward closure over pow(k letters); test use only."""
-    out = set()
-    for e in items:
-        sub = e
-        while True:
-            out.add(sub)
-            if sub == 0:
-                break
-            sub = (sub - 1) & e
-    return frozenset(out)
 
 
 # ------------------------------------------------------------------ stats
@@ -108,24 +88,6 @@ class Stats:
 
 
 # ------------------------------------------------------------- fmax steps
-
-def fmax_step(table, qp: int, qpi: int, ap: Dfa, api: Dfa, dep,
-              orders: OrderSource, stats: Stats | None = None) -> list:
-    """One cell update: the maximal sleep sets making ((qp,_,S),qpi) inactive.
-
-    `table` maps (qp, qpi) -> antichain list.  This is the reference
-    meet-over-orders/join-over-successors computation, kept for the tests to
-    check the engine's cell updates against; the engine does not call it.
-    """
-    k = len(ap.alphabet)
-    full = (1 << k) - 1
-    if qp in ap.finals and qpi not in api.finals:
-        return [full]
-    dmasks = _dep_masks(dep, k)
-    rowp, rowpi = ap.delta[qp], api.delta[qpi]
-    children = [table.get((rowp[a], rowpi[a]), []) for a in range(k)]
-    return _meet_over_orders(children, dmasks, orders.relations(k), full, stats)
-
 
 def _meet_over_orders(children, dmasks, relations, full: int, stats) -> list:
     acc = [full]

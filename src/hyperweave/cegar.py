@@ -9,7 +9,7 @@ once a fresh solver re-proves the proof automaton's edges and a fresh
 fixpoint agrees; otherwise the chosen strategy extracts counterexample traces
 from the inactivity proof, feasible traces are real violations, and
 infeasible ones are interpolated.  The run's deadline also reaches the
-check, the naive difference search, the Hoare-triple batches and
+check, the naive difference search, the Hoare-triple decisions and
 revalidation.
 """
 

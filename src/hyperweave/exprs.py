@@ -245,13 +245,14 @@ def vars_of(f) -> frozenset:
 
 
 def eval_formula(f, env: dict) -> bool:
+    """Truth of f under env; a variable absent from env reads as 0."""
     tag = f[0]
     if tag == "true":
         return True
     if tag == "false":
         return False
     if tag in ("le", "eq", "ne"):
-        t = sum(a * env[v] for v, a in f[1]) + f[2]
+        t = sum(a * env.get(v, 0) for v, a in f[1]) + f[2]
         if tag == "le":
             return t <= 0
         return (t == 0) if tag == "eq" else (t != 0)

@@ -1,14 +1,17 @@
 """Assertions, Hoare triples, the proof NFA, feasibility, interpolation.
 
 All solver contact goes through one ``SolverClient``, which solves in this
-process with ``lia``.  Entailment verdicts are cached across refinement
-rounds.  ``hoare_verdicts`` is the one place that decides Hoare triples: the
-proof NFA's edges and each interpolation chain (all its triples in one
-batch, through the same cache) go through it, so a generation bug can never
-produce an unsound proof automaton.  Interpolation has one path: Farkas
-sequence interpolants, with weakest preconditions as the fallback.  A
-``safe`` verdict carries its assertions packed by ``pack_proof`` and its
-edges as one ``pack_edges`` int; rebuilding its automaton needs no solver.
+process with ``lia`` and keeps the models it finds.  Entailment verdicts are
+cached across refinement rounds.  ``hoare_verdicts`` is the one place that
+decides Hoare triples: the proof NFA's edges and each interpolation chain
+(all its triples in one call, through the same cache) go through it, so a
+generation bug can never produce an unsound proof automaton.  It refutes
+most invalid triples without building a formula: it runs the statement on
+the client's models and evaluates the postcondition on the states they end
+in.  Interpolation has one path: Farkas sequence interpolants, with weakest
+preconditions as the fallback.  A ``safe`` verdict carries its assertions
+packed by ``pack_proof`` and its edges as one ``pack_edges`` int;
+rebuilding its automaton needs no solver.
 """
 
 from __future__ import annotations
@@ -33,28 +36,42 @@ class SolverError(Exception):
 _LIA_ERRORS = (ValueError, exprs.NonlinearError, OverflowError, RecursionError)
 
 
+_NO_RUN = (None, None, -1, 0)     # SolverClient._last before any refutes
+
+
 class SolverClient:
     """Satisfiability of conjunctions of canonical formulas, solved in this
-    process by ``lia.solve_formula``.  An ``unknown`` answer or a solver
-    fault raises SolverError.
+    process by ``lia.solve_formula``, and refutation of Hoare triples by the
+    models it found.  An ``unknown`` answer or a solver fault raises
+    SolverError.
 
     The client keeps the models that ``lia`` finds in a pool (absent
-    variables read as 0).  ``check_sat_batch`` starts from the last POOL of
-    them and adds each model it finds at once; it answers ``sat`` without a
-    solve when a pool model satisfies every conjunct of a query: an exact
-    integer witness, so the answer is the one ``lia`` would give.
-    num_queries counts the ``lia`` solves, pool_hits the pool's answers.
+    variables read as 0).  ``new_window`` keeps the last POOL of them; each
+    model found after joins at once.  A model m refutes {pre} s {post} when
+    pre holds in m, every assume of s passes on the run of s from m, and
+    post fails in the state the run ends in: m satisfies pre and not
+    wp(s, post), an exact integer witness, so the verdict is the one
+    ``lia`` would give.  Across calls the client keeps each formula's truth
+    mask over the pool, and per statement ops the states its runs end in
+    (None where an assume blocks) with each post's mask over them; the
+    states of models that leave the window are dropped.  num_queries counts
+    the ``lia`` solves, pool_hits the triples the pool refuted.
     """
 
-    BATCH = 400
     POOL = 64
 
     def __init__(self):
         self.num_queries = 0
         self.pool_hits = 0
-        self.pool: list = []       # model dicts, oldest first
+        self.pool: list = []       # the window's model dicts, oldest first
+        self._dropped = 0          # models that have left the window
+        self._pool = _Masks(self.pool)
+        self._runs: dict = {}      # stmt ops -> _Runs
+        self._last = _NO_RUN       # (stmt, post, pool size, failing runs)
 
-    def _solve(self, formulas):
+    def check_sat(self, formulas):
+        """Returns ('sat', model) / ('unsat', None); raises on unknown.  A
+        model joins the pool."""
         self.num_queries += 1
         try:
             res, model = lia.solve_formula(exprs.c_and(formulas))
@@ -66,30 +83,46 @@ class SolverClient:
             self.pool.append(model)
         return res, model
 
-    def check_sat(self, formulas):
-        """Returns ('sat', model) / ('unsat', None); raises on unknown."""
-        return self._solve(formulas)
-
     def check_sat_batch(self, queries, deadline: float | None = None) -> list:
-        """Satisfiability of many conjunctions (no models).
-
-        queries: list of formula sequences; returns 'sat'/'unsat' per entry.
-        They go in chunks of BATCH; between chunks, a passed deadline raises
-        ResourceLimit('timeout').
-        """
-        del self.pool[:-self.POOL]
-        masks: dict = {}           # formula -> (pool bitmask, models covered)
+        """check_sat of each formula sequence in queries, as 'sat'/'unsat';
+        the pool answers none of them.  A passed deadline raises
+        ResourceLimit('timeout'), checked every 1024 queries.  The verifier
+        does not call it; perfbench/spans.py wraps it by name."""
         out = []
-        for lo in range(0, len(queries), self.BATCH):
-            if lo:
-                check_deadline(deadline)
-            for formulas in queries[lo: lo + self.BATCH]:
-                if _pool_mask(formulas, self.pool, masks):
-                    self.pool_hits += 1
-                    out.append("sat")
-                else:
-                    out.append(self._solve(formulas)[0])
+        for step, formulas in enumerate(queries):
+            check_deadline(deadline, step)
+            out.append(self.check_sat(formulas)[0])
         return out
+
+    def new_window(self):
+        """Keep the last POOL models, and drop the runs from the others."""
+        drop = len(self.pool) - self.POOL
+        if drop > 0:
+            self._last = _NO_RUN
+            del self.pool[:drop]
+            self._dropped += drop
+            for runs in self._runs.values():
+                del runs.models[:drop]
+                runs.ended >>= drop
+
+    def refutes(self, pre, stmt: Stmt, post) -> bool:
+        """Whether a pool model refutes {pre} stmt {post} (a pool hit).
+        Consecutive triples of one statement and post, as a proof NFA's
+        edges come, share the mask of the runs that end failing post."""
+        last = self._last
+        if last[0] is stmt and last[1] is post and last[2] == len(self.pool):
+            fails = last[3]
+        else:
+            runs = self._runs.get(stmt.ops)
+            if runs is None:
+                runs = self._runs[stmt.ops] = _Runs(stmt.ops, self._pool)
+            runs.catch_up()
+            fails = runs.ended & ~runs.mask(post, self._dropped)
+            self._last = (stmt, post, len(self.pool), fails)
+        if fails and fails & self._pool.mask(pre, self._dropped):
+            self.pool_hits += 1
+            return True
+        return False
 
     def close(self):
         """Nothing to release; kept so that ``with SolverClient()`` works."""
@@ -101,50 +134,109 @@ class SolverClient:
         self.close()
 
 
-def _pool_mask(formulas, models, masks) -> int:
-    """Bit i set iff models[i] satisfies every formula."""
-    out = (1 << len(models)) - 1
-    for f in formulas:
-        if not out:
-            break
-        out &= _mask(f, models, masks)
-    return out
+class _Masks:
+    """Truth masks of formulas over models: variable dicts, absent variables
+    reading as 0, or None where a run blocked (its bit means nothing).  Bit
+    i of a mask is models[i], the model that came after `dropped` others
+    which have left the pool.  Each mask is memoized with the numbering it
+    was made under, then shifted past the models dropped since and extended
+    over those added since."""
 
+    def __init__(self, models: list):
+        self.models = models
+        self.memo: dict = {}       # formula -> (mask, dropped, models covered)
 
-def _mask(f, models, masks) -> int:
-    """Bit i set iff models[i] satisfies f.  masks memoizes each formula's
-    mask with the number of models it covers, and extends it only over the
-    models added since."""
-    n = len(models)
-    mask, done = masks.get(f, (0, 0))
-    if done == n:
+    def mask(self, f, dropped: int) -> int:
+        models = self.models
+        n = dropped + len(models)
+        entry = self.memo.get(f)
+        if entry is None:
+            mask, done = 0, dropped
+        else:
+            mask, base, done = entry
+            if done == n and base == dropped:
+                return mask
+            mask >>= dropped - base
+            done = max(done, dropped)
+        tag = f[0]
+        if tag == "and":
+            mask = (1 << len(models)) - 1
+            for g in f[1]:
+                mask &= self.mask(g, dropped)
+                if not mask:
+                    break
+        elif tag == "or":
+            mask, full = 0, (1 << len(models)) - 1
+            for g in f[1]:
+                mask |= self.mask(g, dropped)
+                if mask == full:
+                    break
+        elif tag == "true":
+            mask = (1 << len(models)) - 1
+        elif tag != "false":
+            mask = self._atom(f, mask, done, dropped)
+        self.memo[f] = (mask, dropped, n)
         return mask
-    tag = f[0]
-    if tag == "and":
-        mask = (1 << n) - 1
-        for g in f[1]:
-            mask &= _mask(g, models, masks)
-            if not mask:
-                break
-    elif tag == "or":
-        mask, full = 0, (1 << n) - 1
-        for g in f[1]:
-            mask |= _mask(g, models, masks)
-            if mask == full:
-                break
-    elif tag == "true":
-        mask = (1 << n) - 1
-    elif tag in ("le", "eq", "ne"):
-        _, coeffs, k = f
-        for i in range(done, n):
+
+    def _atom(self, f, mask: int, done: int, dropped: int) -> int:
+        """mask extended by the atom f on the models after the first
+        done - dropped."""
+        tag, coeffs, k = f
+        models = self.models
+        for i in range(done - dropped, len(models)):
             m = models[i]
+            if m is None:
+                continue
             t = k
             for v, a in coeffs:
                 t += a * m.get(v, 0)
             if (t <= 0) if tag == "le" else (t == 0) == (tag == "eq"):
                 mask |= 1 << i
-    masks[f] = (mask, n)
-    return mask
+        return mask
+
+
+class _Runs(_Masks):
+    """The runs of a statement's ops from the pool models: models[i] is the
+    state the run from pool[i] ends in, None where an assume blocks, and
+    ended has bit i set where it ends.  The state agrees with the pool model
+    on every variable the ops do not write, so an atom over none of them
+    has its mask on the pool."""
+
+    def __init__(self, ops, pool: _Masks):
+        super().__init__([])
+        self.ops = ops
+        self.pool = pool
+        self.writes = frozenset(op[1] for op in ops if op[0] == "assign")
+        self.ended = 0
+
+    def catch_up(self):
+        """Run the ops from the pool models added since the last call."""
+        states, pool = self.models, self.pool.models
+        while len(states) < len(pool):
+            end = _execute(self.ops, pool[len(states)])
+            if end is not None:
+                self.ended |= 1 << len(states)
+            states.append(end)
+
+    def _atom(self, f, mask: int, done: int, dropped: int) -> int:
+        if self.writes.isdisjoint([v for v, _ in f[1]]):
+            return self.pool.mask(f, dropped)
+        return super()._atom(f, mask, done, dropped)
+
+
+def _execute(ops, env: dict) -> dict | None:
+    """The state that ops end in from env (a new dict; absent variables read
+    as 0), or None where an assume fails."""
+    env = dict(env)
+    for op in ops:
+        if op[0] == "assign":
+            _, v, (coeffs, const) = op
+            for w, a in coeffs:
+                const += a * env.get(w, 0)
+            env[v] = const
+        elif not exprs.eval_formula(op[1], env):
+            return None
+    return env
 
 
 def _detail(formulas) -> str:
@@ -189,15 +281,14 @@ class EntailmentCache:
         return len(self._data)
 
 
-def syntactic_verdict(pre, stmt: Stmt, post, wpf):
-    """Validity of {pre} stmt {post} on syntactic grounds (wpf is the weakest
-    precondition of post), or None when the solver must decide."""
-    if post == TRUE or pre == FALSE:
-        return True
+def syntactic_verdict(pre, wpf):
+    """Validity of a Hoare triple with precondition pre on syntactic grounds,
+    wpf being the weakest precondition of its statement and postcondition,
+    or None when the solver must decide."""
     if exprs.implies(pre, wpf):
         return True
     if wpf == FALSE:
-        return pre == FALSE
+        return False
     return None
 
 
@@ -205,39 +296,36 @@ def hoare_verdicts(triples, solver: SolverClient,
                    cache: EntailmentCache | None = None,
                    deadline: float | None = None) -> list[bool]:
     """Validity of each Hoare triple (pre, stmt, post): the one place that
-    decides triples, by the cache, then syntactic_verdict, then one solver
-    batch for the triples still open, each sent once however often it
-    repeats.  New verdicts go into the cache.  deadline is passed on to
-    SolverClient.check_sat_batch."""
+    decides triples.  It opens a window on the solver's pool, then decides
+    each triple in order: by the cache; as valid when post is true or pre
+    false; as invalid when a pool model refutes it; by syntactic_verdict;
+    else by solving pre and not wp(stmt, post), whose model serves the
+    triples after it.  New verdicts go into the cache.  A passed deadline
+    raises ResourceLimit('timeout'), checked every 1024 triples."""
     cache = cache if cache is not None else EntailmentCache()
-    out: list = []                 # a verdict, or the index of its query
-    wps: dict = {}                 # (stmt id, post) -> [wp, negated wp]
-    pending: dict = {}             # cache key -> the index of its query
-    queries: list = []
-    for pre, stmt, post in triples:
+    solver.new_window()
+    out = []
+    wps: dict = {}                 # (stmt, post) -> wp(stmt, post)
+    for step, (pre, stmt, post) in enumerate(triples):
+        check_deadline(deadline, step)
         key = (pre, stmt.id, post)
         verdict = cache.get(key)
         if verdict is None:
-            verdict = pending.get(key)
-        if verdict is None:
-            wp = wps.get(key[1:])
-            if wp is None:
-                wp = wps[key[1:]] = [wp_stmt(stmt, post), None]
-            verdict = syntactic_verdict(pre, stmt, post, wp[0])
-            if verdict is None:
-                if wp[1] is None:
-                    wp[1] = exprs.negate(wp[0])
-                verdict = pending[key] = len(queries)
-                queries.append((pre, wp[1]))
+            if post == TRUE or pre == FALSE:
+                verdict = True
+            elif solver.refutes(pre, stmt, post):
+                verdict = False
             else:
-                cache.put(key, verdict)
+                wp = wps.get((stmt, post))
+                if wp is None:
+                    wp = wps[stmt, post] = wp_stmt(stmt, post)
+                verdict = syntactic_verdict(pre, wp)
+                if verdict is None:
+                    verdict = solver.check_sat(
+                        [pre, exprs.negate(wp)])[0] == "unsat"
+            cache.put(key, verdict)
         out.append(verdict)
-    valid = [res == "unsat"
-             for res in solver.check_sat_batch(queries, deadline)]
-    for key, q in pending.items():
-        cache.put(key, valid[q])
-    # a bool is an int too: only a plain int is a query index
-    return [valid[v] if v.__class__ is int else v for v in out]
+    return out
 
 
 # ------------------------------------------------------------------- proof
@@ -407,15 +495,9 @@ def replay(trace, init: dict) -> dict | None:
     """Concretely execute the trace; None if some assume fails."""
     env = dict(init)
     for stmt in trace:
-        for op in stmt.ops:
-            if op[0] == "assign":
-                _, v, (coeffs, const) = op
-                env[v] = sum(a * env.get(w, 0) for w, a in coeffs) + const
-            else:
-                f = op[1]
-                env2 = {v: env.get(v, 0) for v in exprs.vars_of(f)}
-                if not exprs.eval_formula(f, env2):
-                    return None
+        env = _execute(stmt.ops, env)
+        if env is None:
+            return None
     return env
 
 

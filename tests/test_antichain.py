@@ -6,9 +6,8 @@ import time
 import pytest
 
 from hyperweave import antichain as ac
-from hyperweave.antichain import (Strategy, ac_covers, ac_join, ac_meet,
-                                  check, downset, extract_counterexamples,
-                                  fmax_step)
+from hyperweave.antichain import (Strategy, ac_covers, ac_meet, check,
+                                  extract_counterexamples)
 from hyperweave.automata import AlphabetError, Dfa, LazyDfa, determinize
 from hyperweave.cegar import VerifyConfig, verify
 from hyperweave.frontend import load_program
@@ -16,6 +15,7 @@ from hyperweave.lta import (inactive_baseline, is_empty, lta_intersect,
                             lta_powerset)
 from hyperweave.reduction import LINEAR, PARTITION, sleep_reduction_lta
 from tests.conftest import random_dep, random_dfa, random_nfa
+from tests.oracles import ac_join, downset, fmax_step
 
 MULT = os.path.join(os.path.dirname(__file__), "..", "benchmarks",
                     "sequential", "mult_dist.imp")

@@ -268,16 +268,7 @@ def test_solver_failure_is_unknown(monkeypatch):
         calls.append(f)
         raise ValueError("solver down")
 
-    batches = []
-    real_batch = proofdb.SolverClient.check_sat_batch
-
-    def check_sat_batch(self, queries, deadline=None):
-        batches.append(len(queries))
-        return real_batch(self, queries, deadline)
-
     monkeypatch.setattr(lia, "solve_formula", solve_formula)
-    monkeypatch.setattr(proofdb.SolverClient, "check_sat_batch",
-                        check_sat_batch)
     dfa, dep, _ = load_program(SIMPLEINC)
     v = verify(dfa, dep, VerifyConfig(timeout=30))
     assert v.verdict == "unknown"
@@ -286,9 +277,9 @@ def test_solver_failure_is_unknown(monkeypatch):
     assert len(calls) == 1
     assert v.stats["rounds"] == 0 and v.stats["proof_size"] == 2
     assert (v.stats["solver_queries"], v.stats["pool_hits"]) == (1, 0)
-    # each cache miss is decided syntactically (and cached) or queued for
-    # the solver, whose batch fails before any answer enters the cache
-    assert v.stats["cache_entries"] == v.stats["cache_misses"] - sum(batches)
+    # each cache miss is decided and cached in turn, up to the first one
+    # that needs the solver, whose failure leaves it out of the cache
+    assert v.stats["cache_entries"] == v.stats["cache_misses"] - 1
 
 
 def test_solver_env_var_is_ignored(monkeypatch):
@@ -460,9 +451,7 @@ def test_lying_loop_solver_fails_revalidation(monkeypatch):
     def init(self, *args, **kwargs):
         real_init(self, *args, **kwargs)
         if not made:
-            self.check_sat = lambda formulas, get_model=False: ("unsat", None)
-            self.check_sat_batch = (lambda queries, deadline=None:
-                                    ["unsat"] * len(queries))
+            self.check_sat = lambda formulas: ("unsat", None)
         made.append(self)
     monkeypatch.setattr(proofdb.SolverClient, "__init__", init)
     dfa, dep, _ = load_program(SIMPLEINC)

@@ -4,12 +4,13 @@ import time
 
 import pytest
 
-from hyperweave import exprs, proofdb
+from hyperweave import exprs, limits, proofdb
 from hyperweave.automata import determinize
 from hyperweave.cegar import VerifyConfig, verify
 from hyperweave.exprs import FALSE, TRUE, atom_from_cmp, num, var
 from hyperweave.frontend import load_program
 from hyperweave.limits import ResourceLimit
+from tests.conftest import random_program
 
 BENCH_DIR = os.path.join(os.path.dirname(__file__), "..", "benchmarks")
 
@@ -69,18 +70,25 @@ def test_hoare_cache_agrees_with_fresh_queries(solver):
     assert solver.num_queries - before <= len(triples)
 
 
-def test_hoare_verdicts_stop_between_batches_at_the_deadline():
+def test_hoare_verdicts_stop_between_batches_at_the_deadline(monkeypatch):
+    # the clock is read before the first triple and then every 1024 triples
     _, trace = single_trace("var x, y; x := x + y; assume(y > 0); y := 0;", 3)
     bounds = [cmp("<=", var("x"), num(i)) for i in range(25)]
-    triples = [(pre, trace[0], post) for pre in bounds for post in bounds]
-    solver = proofdb.SolverClient()
+    triples = [(pre, trace[0], post) for pre in bounds for post in bounds] * 4
+    solver, cache = proofdb.SolverClient(), proofdb.EntailmentCache()
     with pytest.raises(ResourceLimit, match="timeout"):
-        proofdb.hoare_verdicts(triples, solver, deadline=time.monotonic() - 1)
-    assert solver.num_queries + solver.pool_hits == proofdb.SolverClient.BATCH
+        proofdb.hoare_verdicts(triples, solver, cache, time.monotonic() - 1)
+    assert (solver.num_queries, solver.pool_hits, len(cache)) == (0, 0, 0)
+    # a deadline that passes after the first read stops the call at 1024
+    clock = iter([0.0, 2.0])
+    monkeypatch.setattr(limits.time, "monotonic", lambda: next(clock))
+    with pytest.raises(ResourceLimit, match="timeout"):
+        proofdb.hoare_verdicts(triples, solver, cache, deadline=1.0)
+    assert cache.hits + cache.misses == 1024
+    monkeypatch.undo()
     verdicts = proofdb.hoare_verdicts(triples, solver)
-    assert solver.num_queries + solver.pool_hits > 2 * proofdb.SolverClient.BATCH
     assert verdicts == [proofdb.hoare_verdicts([t], solver, None)[0]
-                        for t in triples]
+                        for t in triples[:625]] * 4
 
 
 def _random_formula(rng, names, depth=2):
@@ -109,43 +117,137 @@ def test_a_warm_pool_gives_the_verdicts_of_fresh_solvers():
     assert warm.pool_hits > warm.num_queries > 0
 
 
-def test_the_pool_answers_only_queries_its_models_satisfy():
-    x_pos, x_zero = cmp(">", var("x"), num(0)), cmp("=", var("x"), num(0))
+def _planted(*models):
+    """A new client whose pool holds models."""
     solver = proofdb.SolverClient()
-    solver.pool[:] = [{"x": 0, "y": 7}, {"y": 1}]
-    # satisfiable, but by no planted model: lia decides it
-    assert solver.check_sat_batch([[x_pos]]) == ["sat"]
+    solver.pool[:] = models
+    return solver
+
+
+def test_the_pool_answers_only_queries_its_models_satisfy():
+    # a model refutes {pre} s {post} only when pre holds in it, s runs from
+    # it and post fails after s
+    _, [guard, step] = single_trace("var x, y; assume(y > 0); x := x + y;", 2)
+    x, y = var("x"), var("y")
+    # invalid, but pre holds in no planted model: lia decides it
+    solver = _planted({"x": 0, "y": 7}, {"y": 1})
+    assert proofdb.hoare_verdicts(
+        [(cmp(">", x, num(0)), step, cmp("<=", x, num(0)))], solver) == [False]
     assert (solver.num_queries, solver.pool_hits) == (1, 0)
-    # an absent variable reads as 0
-    solver.pool[:] = [{"y": 1}]
-    assert solver.check_sat_batch([[x_zero, cmp("=", var("y"), num(1))]]) \
-        == ["sat"]
-    assert (solver.num_queries, solver.pool_hits) == (1, 1)
-    # unsatisfiable queries never meet a pool model
-    assert solver.check_sat_batch([[x_pos, exprs.negate(x_pos)], [FALSE]]) \
-        == ["unsat", "unsat"]
-    assert (solver.num_queries, solver.pool_hits) == (3, 1)
+    # an absent variable reads as 0: x + y is 1 after the step
+    solver = _planted({"y": 1})
+    assert proofdb.hoare_verdicts(
+        [(cmp("=", x, num(0)), step, cmp("!=", x, num(1)))], solver) == [False]
+    assert (solver.num_queries, solver.pool_hits) == (0, 1)
+    # post fails in y = 0, but the assume blocks the run from it
+    solver = _planted({"x": 0, "y": 0})
+    assert proofdb.hoare_verdicts(
+        [(cmp("=", x, num(0)), guard, cmp(">", y, num(5)))], solver) == [False]
+    assert (solver.num_queries, solver.pool_hits) == (1, 0)
+    # valid triples never meet a refuting model
+    solver = _planted({"x": 0, "y": 1})
+    pre = exprs.c_and([cmp("=", x, num(0)), cmp("=", y, num(1))])
+    assert proofdb.hoare_verdicts([(pre, step, cmp("=", x, num(1)))],
+                                  solver) == [True]
+    assert (solver.num_queries, solver.pool_hits) == (1, 0)
 
 
 def test_a_model_found_in_a_batch_serves_the_rest_of_it():
+    _, [step] = single_trace("var x, y; y := 1;", 1)
     x5, x_ge5 = cmp("=", var("x"), num(5)), cmp(">=", var("x"), num(5))
+    x_ne5, x_lt5 = cmp("!=", var("x"), num(5)), cmp("<", var("x"), num(5))
     solver = proofdb.SolverClient()
-    assert solver.check_sat_batch([[x5], [x_ge5], [x_ge5, x5]]) == ["sat"] * 3
+    triples = [(x5, step, x_ne5), (x_ge5, step, x_ne5), (x_ge5, step, x_lt5)]
+    assert proofdb.hoare_verdicts(triples, solver) == [False] * 3
     assert (solver.num_queries, solver.pool_hits) == (1, 2)
     assert solver.pool == [{"x": 5}]
 
 
 def test_a_batch_starts_from_the_last_models():
+    _, [step] = single_trace("var x, y; y := 1;", 1)
+
+    def at(i):
+        return cmp("=", var("x"), num(i))
+
+    def off(i):                    # {x = i} y := 1 {x != i}: x = i refutes
+        return cmp("!=", var("x"), num(i))
     solver = proofdb.SolverClient()
-    queries = [[cmp("=", var("x"), num(i))] for i in range(100)]
-    assert solver.check_sat_batch(queries) == ["sat"] * 100
-    assert solver.check_sat([cmp("=", var("x"), num(100))])[0] == "sat"
+    assert proofdb.hoare_verdicts([(at(i), step, off(i)) for i in range(100)],
+                                  solver) == [False] * 100
+    assert solver.check_sat([at(100)])[0] == "sat"
     assert len(solver.pool) == 101
     # x = 36 is the 65th model from the end: no longer in the pool
-    assert solver.check_sat_batch([[cmp(">=", var("x"), num(37))],
-                                   [cmp("=", var("x"), num(36))]]) == ["sat"] * 2
+    triples = [(cmp(">=", var("x"), num(37)), step, cmp("<", var("x"), num(37))),
+               (at(36), step, off(36))]
+    assert proofdb.hoare_verdicts(triples, solver) == [False] * 2
     assert (solver.num_queries, solver.pool_hits) == (102, 1)
     assert solver.pool == [{"x": i} for i in range(37, 101)] + [{"x": 36}]
+    # the runs from the models that left the pool are gone
+    [runs] = solver._runs.values()
+    assert len(runs.models) <= len(solver.pool)
+
+
+def test_no_run_outlives_the_window():
+    # the runs of the last triple of a call, made before a model joined the
+    # pool, no longer hold once the next call drops the oldest model
+    _, [step] = single_trace("var x, y; y := 1;", 1)
+    x = var("x")
+    solver = proofdb.SolverClient()
+    for i in range(64):
+        solver.check_sat([cmp("=", x, num(i))])
+    x_ne0 = cmp("!=", x, num(0))
+    pre = exprs.c_and([cmp("=", x, num(0)), cmp("=", var("y"), num(5))])
+    assert proofdb.hoare_verdicts([(cmp("<=", x, num(1)), step, x_ne0),
+                                   (pre, step, x_ne0)], solver) == [False] * 2
+    assert (solver.num_queries, solver.pool_hits) == (65, 1)
+    # x = 0 has left the pool, and nothing refutes this valid triple
+    assert proofdb.hoare_verdicts([(cmp("=", x, num(1)), step, x_ne0)],
+                                  solver) == [True]
+
+
+def test_statements_with_one_id_and_other_ops_get_their_own_verdicts():
+    # a client may serve several programs: it keys runs by ops, not by id
+    _, [inc] = single_trace("var x; x := x + 1;", 1)
+    _, [dec] = single_trace("var x; x := x - 1;", 1)
+    assert inc.id == dec.id and inc.ops != dec.ops
+    x0, x1, x_1 = (cmp("=", var("x"), num(k)) for k in (0, 1, -1))
+    solver = _planted({"x": 0})
+    triples = [(x0, inc, x1), (x0, dec, x_1), (x0, inc, x_1), (x0, dec, x1)]
+    assert [proofdb.hoare_verdicts([t], solver)[0] for t in triples] \
+        == [True, True, False, False]
+    assert (solver.num_queries, solver.pool_hits) == (0, 2)
+
+
+def test_pool_refutation_is_exact():
+    # a model refutes {pre} s {post} iff it satisfies pre and not
+    # wp(s, post), absent variables reading 0; a pool of 3 makes models
+    # leave it often
+    rng = random.Random(11)
+    names = ("x", "y", "z", "w")
+    stmts = []
+    for _ in range(12):
+        src = random_program(rng, 2, names)
+        for atomic in (False, True):
+            stmts.extend(load_program(src, atomic=atomic)[0].alphabet)
+    assert any(len(s.ops) > 1 for s in stmts)
+    assert any(op[0] == "assume" for s in stmts for op in s.ops)
+    formulas = [_random_formula(rng, list(names)) for _ in range(30)]
+    solver = proofdb.SolverClient()
+    solver.POOL = 3
+    hits = 0
+    for _ in range(600):
+        if rng.random() < 0.3:
+            solver.pool.append({v: rng.randint(-4, 4) for v in names
+                                if rng.random() < 0.7})
+        if rng.random() < 0.1:
+            solver.new_window()
+        pre, s, post = rng.choice(formulas), rng.choice(stmts), rng.choice(formulas)
+        bad = exprs.c_and([pre, exprs.negate(proofdb.wp_stmt(s, post))])
+        want = any(exprs.eval_formula(bad, {v: m.get(v, 0) for v in names})
+                   for m in solver.pool)
+        assert solver.refutes(pre, s, post) == want, (pre, s, post, solver.pool)
+        hits += want
+    assert solver.pool_hits == hits > 50
 
 
 def test_revalidation_starts_with_an_empty_pool(monkeypatch):
@@ -340,8 +442,7 @@ def test_repeated_open_triple_is_sent_once():
     _, [step] = single_trace("var x, y; x := x + y;", 1)
     pre = exprs.c_and([cmp("=", var("x"), num(0)), cmp("=", var("y"), num(1))])
     post = cmp("=", var("x"), num(1))
-    assert proofdb.syntactic_verdict(pre, step, post,
-                                     proofdb.wp_stmt(step, post)) is None
+    assert proofdb.syntactic_verdict(pre, proofdb.wp_stmt(step, post)) is None
     solver = proofdb.SolverClient()
     assert proofdb.hoare_verdicts([(pre, step, post)] * 2, solver) == [True] * 2
     assert solver.num_queries == 1
@@ -374,35 +475,37 @@ def test_frame_triples_are_decided_by_implication(name, atomic):
     assert len(framed) > len(dfa.alphabet)
     for f, s in framed:
         wp = proofdb.wp_stmt(s, f)
-        assert proofdb.syntactic_verdict(f, s, f, wp) is True, (f, s)
+        assert proofdb.syntactic_verdict(f, wp) is True, (f, s)
 
 
 @pytest.mark.parametrize("engine", ["farkas", "wp"])
 def test_interpolate_validates_a_chain_in_one_batch(monkeypatch, engine):
-    chains, batches = [], []
+    # one hoare_verdicts call per chain, with at most one solve per triple
+    chains, calls = [], []
     real_ok = proofdb._chain_ok
-    real_batch = proofdb.SolverClient.check_sat_batch
+    real_verdicts = proofdb.hoare_verdicts
 
     def chain_ok(chain, *args):
         chains.append(chain)
         return real_ok(chain, *args)
 
-    def check_sat_batch(self, queries, deadline=None):
-        batches.append(len(queries))
-        return real_batch(self, queries, deadline)
+    def hoare_verdicts(triples, solver, *args):
+        before = solver.num_queries
+        out = real_verdicts(triples, solver, *args)
+        calls.append((len(triples), solver.num_queries - before))
+        return out
     dfa, v = _safe_run("sequential/mult_dist", True)
     if engine == "wp":
         monkeypatch.setattr(proofdb, "_interpolate_farkas", lambda trace: None)
     monkeypatch.setattr(proofdb, "_chain_ok", chain_ok)
-    monkeypatch.setattr(proofdb.SolverClient, "check_sat_batch",
-                        check_sat_batch)
+    monkeypatch.setattr(proofdb, "hoare_verdicts", hoare_verdicts)
     traces = [[dfa.alphabet[a] for a in w]
               for r in v.rounds for w in r.counterexamples]
     assert traces
     with proofdb.SolverClient() as solver:
         for trace in traces:
             chains.clear()
-            batches.clear()
+            calls.clear()
             proofdb.interpolate(trace, solver)
-            assert len(batches) == len(chains) >= 1
-            assert max(batches) <= len(trace)
+            assert len(calls) == len(chains) >= 1
+            assert all(n == len(trace) and solves <= n for n, solves in calls)
