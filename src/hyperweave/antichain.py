@@ -323,7 +323,7 @@ class CheckEngine:
                 continue
             if not all(ac_covers(new, m) for m in old):
                 raise BrokenInvariant("fixpoint regressed")
-            fresh = [m for m in new if not any(m == o for o in old)]
+            fresh = [m for m in new if m not in old]
             arch = self.archive[cell]
             for m in fresh:
                 self._births += 1

@@ -1,17 +1,17 @@
 """Assertions, Hoare triples, the proof NFA, feasibility, interpolation.
 
 All solver contact goes through one ``SolverClient``, which solves in this
-process with ``lia`` and keeps the models it finds.  Entailment verdicts are
+process with ``lia`` and keeps every model it finds.  Entailment verdicts are
 cached across refinement rounds.  ``hoare_verdicts`` is the one place that
 decides Hoare triples: the proof NFA's edges and each interpolation chain
 (all its triples in one call, through the same cache) go through it, so a
 generation bug can never produce an unsound proof automaton.  It refutes
 most invalid triples without building a formula: it runs the statement on
-the client's models and evaluates the postcondition on the states they end
-in.  Interpolation has one path: Farkas sequence interpolants, with weakest
-preconditions as the fallback.  A ``safe`` verdict carries its assertions
-packed by ``pack_proof`` and its edges as one ``pack_edges`` int;
-rebuilding its automaton needs no solver.
+every model the client has found and evaluates the postcondition on the
+states the runs end in.  Interpolation has one path: Farkas sequence
+interpolants, with weakest preconditions as the fallback.  A ``safe``
+verdict carries its assertions packed by ``pack_proof`` and its edges as
+one ``pack_edges`` int; rebuilding its automaton needs no solver.
 """
 
 from __future__ import annotations
@@ -36,38 +36,30 @@ class SolverError(Exception):
 _LIA_ERRORS = (ValueError, exprs.NonlinearError, OverflowError, RecursionError)
 
 
-_NO_RUN = (None, None, -1, 0)     # SolverClient._last before any refutes
-
-
 class SolverClient:
     """Satisfiability of conjunctions of canonical formulas, solved in this
     process by ``lia.solve_formula``, and refutation of Hoare triples by the
     models it found.  An ``unknown`` answer or a solver fault raises
     SolverError.
 
-    The client keeps the models that ``lia`` finds in a pool (absent
-    variables read as 0).  ``new_window`` keeps the last POOL of them; each
-    model found after joins at once.  A model m refutes {pre} s {post} when
-    pre holds in m, every assume of s passes on the run of s from m, and
-    post fails in the state the run ends in: m satisfies pre and not
-    wp(s, post), an exact integer witness, so the verdict is the one
-    ``lia`` would give.  Across calls the client keeps each formula's truth
-    mask over the pool, and per statement ops the states its runs end in
-    (None where an assume blocks) with each post's mask over them; the
-    states of models that leave the window are dropped.  num_queries counts
-    the ``lia`` solves, pool_hits the triples the pool refuted.
+    The client keeps every model that ``lia`` finds in a pool (absent
+    variables read as 0), and a model joins it at once.  A model m refutes
+    {pre} s {post} when pre holds in m, every assume of s passes on the run
+    of s from m, and post fails in the state the run ends in: m satisfies
+    pre and not wp(s, post), an exact integer witness, so the verdict is the
+    one ``lia`` would give.  Across calls the client keeps each formula's
+    truth mask over the pool, and per statement ops the states its runs end
+    in (None where an assume blocks) with each post's mask over them; each
+    is extended over the models found since.  num_queries counts the
+    ``lia`` solves, pool_hits the triples the pool refuted.
     """
-
-    POOL = 64
 
     def __init__(self):
         self.num_queries = 0
         self.pool_hits = 0
-        self.pool: list = []       # the window's model dicts, oldest first
-        self._dropped = 0          # models that have left the window
+        self.pool: list = []       # the model dicts, oldest first
         self._pool = _Masks(self.pool)
         self._runs: dict = {}      # stmt ops -> _Runs
-        self._last = _NO_RUN       # (stmt, post, pool size, failing runs)
 
     def check_sat(self, formulas):
         """Returns ('sat', model) / ('unsat', None); raises on unknown.  A
@@ -94,32 +86,14 @@ class SolverClient:
             out.append(self.check_sat(formulas)[0])
         return out
 
-    def new_window(self):
-        """Keep the last POOL models, and drop the runs from the others."""
-        drop = len(self.pool) - self.POOL
-        if drop > 0:
-            self._last = _NO_RUN
-            del self.pool[:drop]
-            self._dropped += drop
-            for runs in self._runs.values():
-                del runs.models[:drop]
-                runs.ended >>= drop
-
     def refutes(self, pre, stmt: Stmt, post) -> bool:
-        """Whether a pool model refutes {pre} stmt {post} (a pool hit).
-        Consecutive triples of one statement and post, as a proof NFA's
-        edges come, share the mask of the runs that end failing post."""
-        last = self._last
-        if last[0] is stmt and last[1] is post and last[2] == len(self.pool):
-            fails = last[3]
-        else:
-            runs = self._runs.get(stmt.ops)
-            if runs is None:
-                runs = self._runs[stmt.ops] = _Runs(stmt.ops, self._pool)
-            runs.catch_up()
-            fails = runs.ended & ~runs.mask(post, self._dropped)
-            self._last = (stmt, post, len(self.pool), fails)
-        if fails and fails & self._pool.mask(pre, self._dropped):
+        """Whether a pool model refutes {pre} stmt {post} (a pool hit)."""
+        runs = self._runs.get(stmt.ops)
+        if runs is None:
+            runs = self._runs[stmt.ops] = _Runs(stmt.ops, self._pool)
+        runs.catch_up()
+        fails = runs.ended & ~runs.mask(post)
+        if fails and fails & self._pool.mask(pre):
             self.pool_hits += 1
             return True
         return False
@@ -137,53 +111,44 @@ class SolverClient:
 class _Masks:
     """Truth masks of formulas over models: variable dicts, absent variables
     reading as 0, or None where a run blocked (its bit means nothing).  Bit
-    i of a mask is models[i], the model that came after `dropped` others
-    which have left the pool.  Each mask is memoized with the numbering it
-    was made under, then shifted past the models dropped since and extended
-    over those added since."""
+    i of a mask is models[i]; models are only appended.  Each mask is
+    memoized with the number of models it covers, and extended over those
+    added since."""
 
     def __init__(self, models: list):
         self.models = models
-        self.memo: dict = {}       # formula -> (mask, dropped, models covered)
+        self.memo: dict = {}       # formula -> (mask, models covered)
 
-    def mask(self, f, dropped: int) -> int:
-        models = self.models
-        n = dropped + len(models)
-        entry = self.memo.get(f)
-        if entry is None:
-            mask, done = 0, dropped
-        else:
-            mask, base, done = entry
-            if done == n and base == dropped:
-                return mask
-            mask >>= dropped - base
-            done = max(done, dropped)
+    def mask(self, f) -> int:
+        n = len(self.models)
+        mask, done = self.memo.get(f, (0, 0))
+        if done == n:
+            return mask
         tag = f[0]
         if tag == "and":
-            mask = (1 << len(models)) - 1
+            mask = (1 << n) - 1
             for g in f[1]:
-                mask &= self.mask(g, dropped)
+                mask &= self.mask(g)
                 if not mask:
                     break
         elif tag == "or":
-            mask, full = 0, (1 << len(models)) - 1
+            mask, full = 0, (1 << n) - 1
             for g in f[1]:
-                mask |= self.mask(g, dropped)
+                mask |= self.mask(g)
                 if mask == full:
                     break
         elif tag == "true":
-            mask = (1 << len(models)) - 1
+            mask = (1 << n) - 1
         elif tag != "false":
-            mask = self._atom(f, mask, done, dropped)
-        self.memo[f] = (mask, dropped, n)
+            mask = self._atom(f, mask, done)
+        self.memo[f] = (mask, n)
         return mask
 
-    def _atom(self, f, mask: int, done: int, dropped: int) -> int:
-        """mask extended by the atom f on the models after the first
-        done - dropped."""
+    def _atom(self, f, mask: int, done: int) -> int:
+        """mask extended by the atom f on the models after the first done."""
         tag, coeffs, k = f
         models = self.models
-        for i in range(done - dropped, len(models)):
+        for i in range(done, len(models)):
             m = models[i]
             if m is None:
                 continue
@@ -218,10 +183,10 @@ class _Runs(_Masks):
                 self.ended |= 1 << len(states)
             states.append(end)
 
-    def _atom(self, f, mask: int, done: int, dropped: int) -> int:
+    def _atom(self, f, mask: int, done: int) -> int:
         if self.writes.isdisjoint([v for v, _ in f[1]]):
-            return self.pool.mask(f, dropped)
-        return super()._atom(f, mask, done, dropped)
+            return self.pool.mask(f)
+        return super()._atom(f, mask, done)
 
 
 def _execute(ops, env: dict) -> dict | None:
@@ -296,14 +261,13 @@ def hoare_verdicts(triples, solver: SolverClient,
                    cache: EntailmentCache | None = None,
                    deadline: float | None = None) -> list[bool]:
     """Validity of each Hoare triple (pre, stmt, post): the one place that
-    decides triples.  It opens a window on the solver's pool, then decides
-    each triple in order: by the cache; as valid when post is true or pre
-    false; as invalid when a pool model refutes it; by syntactic_verdict;
-    else by solving pre and not wp(stmt, post), whose model serves the
-    triples after it.  New verdicts go into the cache.  A passed deadline
-    raises ResourceLimit('timeout'), checked every 1024 triples."""
+    decides triples.  It decides each triple in order: by the cache; as
+    valid when post is true or pre false; as invalid when a model in the
+    solver's pool refutes it; by syntactic_verdict; else by solving pre and
+    not wp(stmt, post), whose model joins the pool for every triple after
+    it.  New verdicts go into the cache.  A passed deadline raises
+    ResourceLimit('timeout'), checked every 1024 triples."""
     cache = cache if cache is not None else EntailmentCache()
-    solver.new_window()
     out = []
     wps: dict = {}                 # (stmt, post) -> wp(stmt, post)
     for step, (pre, stmt, post) in enumerate(triples):

@@ -65,7 +65,7 @@ def random_dep(rng: random.Random, k: int, p: float = 0.5) -> tuple:
 def random_closed_language(rng: random.Random, k: int, maxlen: int,
                            dep: tuple, max_words: int = 10):
     """A random finite language closed under swapping independent letters."""
-    from hyperweave.reduction import closure
+    from tests.oracles import closure
 
     words = set()
     for _ in range(rng.randint(1, max_words)):

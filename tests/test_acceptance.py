@@ -19,11 +19,12 @@ from hyperweave.cli import run_benchmark
 from hyperweave.frontend import load_program
 from hyperweave.lta import inactive_baseline, is_empty, lta_intersect, lta_powerset
 from hyperweave.reduction import (LINEAR, PARTITION, ReductionTooLarge,
-                                  classes_of, closure,
-                                  enumerate_reductions_bruteforce,
-                                  lta_accepts_language, sleep_reduction_lta)
+                                  sleep_reduction_lta)
 from tests.conftest import (random_closed_language, random_dep, random_dfa,
                             random_nfa)
+from tests.oracles import (classes_of, closure,
+                           enumerate_reductions_bruteforce,
+                           lta_accepts_language)
 
 BENCH_DIR = os.path.join(os.path.dirname(__file__), "..", "benchmarks")
 

@@ -406,7 +406,7 @@ def test_sequential_glue_is_dependent_with_everything():
 
 
 def test_program_language_is_dependence_closed():
-    from hyperweave.reduction import is_closed
+    from tests.oracles import is_closed
     for src in [
         "var x, y; { x := 1; } || { y := 2; } assume(x = y);",
         "var a, x1, x2; { x1 := a; x1 := x1 + 1; } || { x2 := a; }",

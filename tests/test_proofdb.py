@@ -163,46 +163,44 @@ def test_a_model_found_in_a_batch_serves_the_rest_of_it():
     assert solver.pool == [{"x": 5}]
 
 
-def test_a_batch_starts_from_the_last_models():
+def test_the_pool_keeps_every_model():
     _, [step] = single_trace("var x, y; y := 1;", 1)
+    x = var("x")
 
     def at(i):
-        return cmp("=", var("x"), num(i))
+        return cmp("=", x, num(i))
 
     def off(i):                    # {x = i} y := 1 {x != i}: x = i refutes
-        return cmp("!=", var("x"), num(i))
+        return cmp("!=", x, num(i))
     solver = proofdb.SolverClient()
     assert proofdb.hoare_verdicts([(at(i), step, off(i)) for i in range(100)],
                                   solver) == [False] * 100
-    assert solver.check_sat([at(100)])[0] == "sat"
-    assert len(solver.pool) == 101
-    # x = 36 is the 65th model from the end: no longer in the pool
-    triples = [(cmp(">=", var("x"), num(37)), step, cmp("<", var("x"), num(37))),
-               (at(36), step, off(36))]
-    assert proofdb.hoare_verdicts(triples, solver) == [False] * 2
-    assert (solver.num_queries, solver.pool_hits) == (102, 1)
-    assert solver.pool == [{"x": i} for i in range(37, 101)] + [{"x": 36}]
-    # the runs from the models that left the pool are gone
+    # x = 0, the first of 101 models, still refutes the triples only it
+    # refutes
+    triples = [(at(100), step, off(100)), (at(0), step, off(0)),
+               (cmp("<=", x, num(0)), step, cmp(">", x, num(0)))]
+    assert proofdb.hoare_verdicts(triples, solver) == [False] * 3
+    assert (solver.num_queries, solver.pool_hits) == (101, 2)
+    assert solver.pool == [{"x": i} for i in range(101)]
     [runs] = solver._runs.values()
-    assert len(runs.models) <= len(solver.pool)
+    assert len(runs.models) == len(solver.pool)
 
 
-def test_no_run_outlives_the_window():
-    # the runs of the last triple of a call, made before a model joined the
-    # pool, no longer hold once the next call drops the oldest model
+def test_a_memoized_run_mask_is_extended_over_new_models():
     _, [step] = single_trace("var x, y; y := 1;", 1)
     x = var("x")
-    solver = proofdb.SolverClient()
-    for i in range(64):
-        solver.check_sat([cmp("=", x, num(i))])
     x_ne0 = cmp("!=", x, num(0))
-    pre = exprs.c_and([cmp("=", x, num(0)), cmp("=", var("y"), num(5))])
-    assert proofdb.hoare_verdicts([(cmp("<=", x, num(1)), step, x_ne0),
-                                   (pre, step, x_ne0)], solver) == [False] * 2
-    assert (solver.num_queries, solver.pool_hits) == (65, 1)
-    # x = 0 has left the pool, and nothing refutes this valid triple
-    assert proofdb.hoare_verdicts([(cmp("=", x, num(1)), step, x_ne0)],
-                                  solver) == [True]
+    solver = _planted({"x": 1})
+    # the run from x = 1 ends satisfying x != 0: nothing refutes
+    assert not solver.refutes(cmp(">=", x, num(0)), step, x_ne0)
+    runs = solver._runs[step.ops]
+    assert runs.memo[x_ne0] == (0b1, 1)
+    # lia's model x = 0 joins the pool; the memoized mask of x != 0 over
+    # the runs is extended to it, and it refutes a triple of the same pair
+    assert solver.check_sat([cmp("=", x, num(0))]) == ("sat", {"x": 0})
+    assert solver.refutes(cmp("=", x, num(0)), step, x_ne0)
+    assert runs.memo[x_ne0] == (0b01, 2)
+    assert (solver.num_queries, solver.pool_hits) == (1, 1)
 
 
 def test_statements_with_one_id_and_other_ops_get_their_own_verdicts():
@@ -220,8 +218,8 @@ def test_statements_with_one_id_and_other_ops_get_their_own_verdicts():
 
 def test_pool_refutation_is_exact():
     # a model refutes {pre} s {post} iff it satisfies pre and not
-    # wp(s, post), absent variables reading 0; a pool of 3 makes models
-    # leave it often
+    # wp(s, post), absent variables reading 0; models join the pool planted
+    # and from lia, between triples whose masks are memoized
     rng = random.Random(11)
     names = ("x", "y", "z", "w")
     stmts = []
@@ -233,14 +231,13 @@ def test_pool_refutation_is_exact():
     assert any(op[0] == "assume" for s in stmts for op in s.ops)
     formulas = [_random_formula(rng, list(names)) for _ in range(30)]
     solver = proofdb.SolverClient()
-    solver.POOL = 3
     hits = 0
     for _ in range(600):
-        if rng.random() < 0.3:
+        if rng.random() < 0.2:
             solver.pool.append({v: rng.randint(-4, 4) for v in names
                                 if rng.random() < 0.7})
         if rng.random() < 0.1:
-            solver.new_window()
+            solver.check_sat([rng.choice(formulas)])
         pre, s, post = rng.choice(formulas), rng.choice(stmts), rng.choice(formulas)
         bad = exprs.c_and([pre, exprs.negate(proofdb.wp_stmt(s, post))])
         want = any(exprs.eval_formula(bad, {v: m.get(v, 0) for v in names})
@@ -248,6 +245,7 @@ def test_pool_refutation_is_exact():
         assert solver.refutes(pre, s, post) == want, (pre, s, post, solver.pool)
         hits += want
     assert solver.pool_hits == hits > 50
+    assert solver.num_queries > 20
 
 
 def test_revalidation_starts_with_an_empty_pool(monkeypatch):

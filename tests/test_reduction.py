@@ -5,11 +5,11 @@ import pytest
 
 from hyperweave.automata import from_words
 from hyperweave.reduction import (LINEAR, PARTITION, OrderSource,
-                                  ReductionTooLarge, classes_of, closure,
-                                  enumerate_reductions_bruteforce, is_closed,
-                                  lta_accepts_language, sleep_step,
-                                  sleep_reduction_lta, word_class)
+                                  ReductionTooLarge, sleep_reduction_lta)
 from tests.conftest import random_closed_language, random_dep
+from tests.oracles import (classes_of, closure,
+                           enumerate_reductions_bruteforce, is_closed,
+                           lta_accepts_language, sleep_step, word_class)
 
 INDEP2 = (0b01, 0b10)
 DEP2 = (0b11, 0b11)
