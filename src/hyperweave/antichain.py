@@ -7,13 +7,16 @@ by its maximal elements (an antichain of bitmasks).  The fixpoint is computed
 lazily cell by cell with dependency tracking; witnesses are reconstructed on
 demand from per-element insertion ranks rather than stored per order.
 
-A cell's first evaluation materializes its live children and registers it
-as their parent; later evaluations only read the children's values.  A
-cell's value is a pure function of its children's antichains, so the
-survivor computation goes through a SurvivorMemo: antichains are interned
-as small ints, a cell is keyed by its (letter, antichain id) pairs, and one
-memo serves every check of a refinement loop.  joins/meets count the
-computations actually made; memo_hits counts the ones answered by the memo.
+Cells are numbered in materialization order, and the engine keeps each
+cell's state in lists indexed by its number.  A cell's first evaluation
+materializes its live children and registers it as their parent; later
+evaluations only read the children's values.  A cell's value is a pure
+function of its children's antichains, so the survivor computation goes
+through a SurvivorMemo: antichains are interned, sorted, as small ints, so
+an id stands for one set and a value changed iff its id did; a cell is
+keyed by its (letter, antichain id) pairs, and one memo serves every check
+of a refinement loop.  joins/meets count the computations actually made;
+memo_hits counts the ones answered by the memo.
 
 The proof side is read only through ``row(q)`` and ``is_final(q)``, so it may
 be a LazyDfa whose subset construction is expanded just for the macro-states
@@ -67,10 +70,6 @@ def ac_meet(x, y) -> list:
     return out
 
 
-def _antichain_eq(x, y) -> bool:
-    return len(x) == len(y) and set(x) == set(y)
-
-
 # ------------------------------------------------------------------ stats
 
 @dataclass
@@ -108,30 +107,41 @@ def _meet_over_orders(children, dmasks, relations, full: int, stats) -> list:
             stats.meets += 1
         if not acc:
             return []
+    acc.sort()
     return acc
 
 
 def _partition_survivors(children, dmasks, full: int, stats) -> list:
-    """Collapsed meet over all partition orders.
+    """Collapsed meet over all partition orders, sorted ascending.
 
-    T is inactive iff some pool pair (a, S) with T <= (S|D(a))\\{a} also has
-    Sigma minus the candidate letters of T inside S|D(a); maximal survivors
-    are intersections of pool elements, found by lattice descent.
+    T is inactive iff some pool pair (a, S) with T <= e = (S|D(a))\\{a} also
+    has Sigma minus the candidate letters of T (the a of every such pair)
+    inside S|D(a), which holds iff it is inside e, a being a candidate; so
+    iff some e holds T and Sigma minus the candidate letters.  Maximal
+    survivors are intersections of pool elements, found by lattice descent.
     """
-    pool = []
+    es = []                        # e of each pool pair, in pool order
+    letters_of: dict = {}          # e -> the letters of its pairs
     for a, kids in enumerate(children):
         abit = 1 << a
         da = dmasks[a]
         for s in kids:
-            pool.append((a, s, (s | da) & ~abit))
-    if not pool:
+            e = (s | da) & ~abit
+            es.append(e)
+            letters_of[e] = letters_of.get(e, 0) | abit
+    if not es:
         return []
     start: list = []
-    for _, _, e in pool:
+    for e in es:
         ac_insert(start, e)
+    # a pushed t & e is popped, latest first, only once: descending over the
+    # last occurrence of each e pushes the same sets in the same pop order
+    descend = list(dict.fromkeys(reversed(es)))
+    descend.reverse()
+    pool = list(letters_of.items())
     result: list = []
     visited = set()
-    stack = list(start)
+    stack = start
     while stack:
         t = stack.pop()
         if t in visited:
@@ -139,25 +149,30 @@ def _partition_survivors(children, dmasks, full: int, stats) -> list:
         visited.add(t)
         if len(visited) > SURVIVOR_CAP:
             raise ResourceLimit("partition survivor search exceeded cap")
-        if ac_covers(result, t):
-            continue
-        letters = 0
-        cand = []
-        for a, s, e in pool:
-            if t & ~e == 0:
-                cand.append((a, s))
-                letters |= 1 << a
-        need = full & ~letters
-        if any(need & ~(s | dmasks[a]) == 0 for a, s in cand):
-            ac_insert(result, t)
-            if stats:
-                stats.joins += 1
-            continue
-        for _, _, e in pool:
-            if t & ~e:
-                t2 = t & e
-                if t2 not in visited:
-                    stack.append(t2)
+        for r in result:
+            if not t & ~r:
+                break
+        else:
+            letters = 0
+            for e, bits in pool:
+                if not t & ~e:
+                    letters |= bits
+            u = t | full & ~letters
+            for e in descend:
+                if not u & ~e:
+                    # t is not covered, so it joins result as ac_insert would
+                    result = [r for r in result if r & ~t]
+                    result.append(t)
+                    if stats:
+                        stats.joins += 1
+                    break
+            else:
+                for e in descend:
+                    if t & ~e:
+                        t2 = t & e
+                        if t2 not in visited:
+                            stack.append(t2)
+    result.sort()
     return result
 
 
@@ -166,12 +181,12 @@ def _partition_survivors(children, dmasks, full: int, stats) -> list:
 class SurvivorMemo:
     """Cell values by children, shared by the checks of one program.
 
-    Antichains are interned as ids in list order, not as sets: the order
-    drives the survivor search and the birth numbering, so an equal set in
-    another order is another id.  Id 0 is the empty antichain.  A key is
-    the tuple of id * k + letter over a cell's non-empty children, in
-    letter order; table maps it to the id of the cell's value.  The memo is
-    bound to the first engine's (k, dependence masks, order family) and
+    Antichains are interned as ids of their elements sorted ascending, the
+    order the survivor computations return, so an id stands for one set:
+    two values are equal iff their ids are.  Id 0 is the empty antichain.
+    A key is the tuple of id * k + letter over a cell's non-empty children,
+    in letter order; table maps it to the id of the cell's value.  The memo
+    is bound to the first engine's (k, dependence masks, order family) and
     refuses any other.
     """
 
@@ -213,8 +228,10 @@ class CheckEngine:
     api is a Dfa or LazyDfa over ap's alphabet in the same order; run()
     gives up with ResourceLimit('timeout') after deadline.  memo may carry
     cell values over from earlier checks of the same program (default: a
-    fresh one).  cells maps a cell to the memo id of its value, None until
-    its first evaluation.
+    fresh one).  cells maps a cell to its number, in materialization order;
+    lists indexed by the number hold the rest: the memo id of its value (0
+    until it has one), its children's numbers, its parents and the births
+    of its elements.
     """
 
     def __init__(self, ap: Dfa, api, dep, orders: OrderSource,
@@ -239,51 +256,59 @@ class CheckEngine:
         self._live_letters = [tuple(a for a, q in enumerate(row)
                                     if q in self.live) for row in ap.delta]
         self.cells: dict = {}
-        self.archive: dict = {}
-        self.rdeps: dict = {}
+        self._cell: list = []          # number -> (q_P, q_Pi)
+        self._value: list = []         # number -> memo id of its value
+        # number -> children's numbers, one per live letter of its program
+        # state, wired on its first evaluation (None before, and on a leaf)
+        self._kids: list = []
+        # parents in wiring order: a set's order would make the work
+        # depend on how the program's states are numbered
+        self._parents: list = []
+        self._archive: list = []       # number -> [(element, birth)] or None
         self.stats = Stats()
-        self._births = 0
         self._queue: deque = deque()
-        self._queued: set = set()
+        self._queued = bytearray()
 
-    def _materialize(self, cell):
-        if cell not in self.cells:
-            if len(self.cells) >= MAX_CELLS:
+    def _materialize(self, cell) -> int:
+        """The number of cell, which is queued when it is first seen."""
+        c = self.cells.get(cell)
+        if c is None:
+            c = len(self._cell)
+            if c >= MAX_CELLS:
                 raise ResourceLimit("antichain fixpoint exceeded cell cap")
-            self.cells[cell] = None
-            self.archive[cell] = []
-            # parents in wiring order: a set's order would make the work
-            # depend on how the program's states are numbered
-            self.rdeps[cell] = []
+            self.cells[cell] = c
+            self._cell.append(cell)
+            self._value.append(0)
+            self._kids.append(None)
+            self._parents.append([])
+            self._archive.append(None)
+            self._queued.append(1)
+            self._queue.append(c)
             self.stats.cells += 1
-            self._enqueue(cell)
+        return c
 
-    def _enqueue(self, cell):
-        if cell not in self._queued:
-            self._queued.add(cell)
-            self._queue.append(cell)
-
-    def _fmax(self, cell) -> int:
-        """The memo id of cell's next value."""
-        qp, qpi = cell
+    def _fmax(self, c: int) -> int:
+        """The memo id of cell c's next value."""
         stats = self.stats
         stats.fmax_calls += 1
         check_deadline(self.deadline, stats.fmax_calls)
-        if qp in self.ap.finals and not self.api.is_final(qpi):
-            return self._leaf
-        rowp, rowpi = self.ap.delta[qp], self.api.row(qpi)
-        letters = self._live_letters[qp]
-        cells = self.cells
-        if cells[cell] is None:        # first evaluation: wire the children
-            cells[cell] = 0
-            for a in letters:
-                child = (rowp[a], rowpi[a])
-                self._materialize(child)
-                self.rdeps[child].append(cell)
-        k = self.k
+        qp, qpi = self._cell[c]
+        kids = self._kids[c]
+        if kids is None:               # first evaluation: wire the children
+            if qp in self.ap.finals and not self.api.is_final(qpi):
+                return self._leaf
+            rowp, rowpi = self.ap.delta[qp], self.api.row(qpi)
+            materialize, parents = self._materialize, self._parents
+            kids = []
+            for a in self._live_letters[qp]:
+                child = materialize((rowp[a], rowpi[a]))
+                parents[child].append(c)
+                kids.append(child)
+            self._kids[c] = kids = tuple(kids)
+        k, values = self.k, self._value
         key = []
-        for a in letters:
-            vid = cells[(rowp[a], rowpi[a])]
+        for a, child in zip(self._live_letters[qp], kids):
+            vid = values[child]
             if vid:
                 key.append(vid * k + a)
         key = tuple(key)
@@ -309,36 +334,43 @@ class CheckEngine:
         init = (self.ap.initial, self.api.initial)
         if init[0] not in self.live:
             return True
-        self._materialize(init)
-        values = self.memo.values
-        while self._queue:
-            cell = self._queue.popleft()
-            self._queued.discard(cell)
-            new_id = self._fmax(cell)
-            old_id = self.cells[cell] or 0
-            if new_id == old_id:
+        root = self._materialize(init)
+        stats, values = self.stats, self.memo.values
+        value, parents, archive = self._value, self._parents, self._archive
+        queue, queued = self._queue, self._queued
+        births = 0
+        while queue:
+            c = queue.popleft()
+            queued[c] = 0
+            new_id = self._fmax(c)
+            old_id = value[c]
+            if new_id == old_id:       # ids are sets: the value is unchanged
                 continue
             old, new = values[old_id], values[new_id]
-            if _antichain_eq(old, new):
-                continue
-            if not all(ac_covers(new, m) for m in old):
-                raise BrokenInvariant("fixpoint regressed")
-            fresh = [m for m in new if m not in old]
-            arch = self.archive[cell]
-            for m in fresh:
-                self._births += 1
-                arch.append((m, self._births))
-            self.cells[cell] = new_id
-            self.stats.peak_width = max(self.stats.peak_width, len(new))
-            for dep_cell in self.rdeps.get(cell, ()):
-                self._enqueue(dep_cell)
-        self.stats.births = self._births
-        return not self.cells[init]
+            for m in old:
+                if not ac_covers(new, m):
+                    raise BrokenInvariant("fixpoint regressed")
+            arch = archive[c]
+            if arch is None:
+                arch = archive[c] = []
+            for m in new:
+                if m not in old:
+                    births += 1
+                    arch.append((m, births))
+            value[c] = new_id
+            stats.peak_width = max(stats.peak_width, len(new))
+            for p in parents[c]:
+                if not queued[p]:
+                    queued[p] = 1
+                    queue.append(p)
+        stats.births = births
+        return not value[root]
 
     # ---- witness reconstruction
 
     def rank(self, cell, s: int):
-        arch = self.archive.get(cell)
+        c = self.cells.get(cell)
+        arch = None if c is None else self._archive[c]
         if not arch:
             return None
         best = None

@@ -108,14 +108,6 @@ def lta_powerset(dfa: Dfa) -> Lta:
     return Lta(dfa.alphabet, transitions, dfa.initial)
 
 
-def lta_singleton(dfa: Dfa) -> Lta:
-    """Accepts exactly {L(dfa)} (deterministic; the test oracle)."""
-    transitions = []
-    for q, row in enumerate(dfa.delta):
-        transitions.append([(q in dfa.finals, tuple(row))])
-    return Lta(dfa.alphabet, transitions, dfa.initial)
-
-
 @dataclass
 class InactiveSet:
     inactive: set                 # inactive state ids
@@ -168,20 +160,6 @@ def inactive_baseline(m: Lta, deadline: float | None = None) -> InactiveSet:
                 order[q] = len(order)
                 queue.append(q)
     return InactiveSet(inactive, witness, order)
-
-
-def apply_inactive_step(m: Lta, current: set) -> set:
-    """One application of the inactive-states operator (test oracle)."""
-    out = set()
-    for q in range(m.n):
-        if all(any(succ[a] in current for a in range(len(m.alphabet)))
-               for (_, succ) in m.transitions[q]):
-            out.add(q)
-    return out
-
-
-def is_empty(m: Lta) -> bool:
-    return m.initial in inactive_baseline(m).inactive
 
 
 @dataclass

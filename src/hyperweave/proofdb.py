@@ -86,17 +86,12 @@ class SolverClient:
             out.append(self.check_sat(formulas)[0])
         return out
 
-    def refutes(self, pre, stmt: Stmt, post) -> bool:
-        """Whether a pool model refutes {pre} stmt {post} (a pool hit)."""
+    def runs(self, stmt: Stmt) -> "_Runs":
+        """The runs of stmt's ops; catch_up() brings them up to the pool."""
         runs = self._runs.get(stmt.ops)
         if runs is None:
             runs = self._runs[stmt.ops] = _Runs(stmt.ops, self._pool)
-        runs.catch_up()
-        fails = runs.ended & ~runs.mask(post)
-        if fails and fails & self._pool.mask(pre):
-            self.pool_hits += 1
-            return True
-        return False
+        return runs
 
     def close(self):
         """Nothing to release; kept so that ``with SolverClient()`` works."""
@@ -224,12 +219,21 @@ def wp_stmt(stmt: Stmt, post):
 # -------------------------------------------------------------- entailment
 
 class EntailmentCache:
-    """Verdict cache for Hoare triples, shared across rounds."""
+    """Verdict cache for Hoare triples, shared across rounds.
+
+    fids numbers formulas by value, in the order they are first seen, and a
+    verdict is keyed by (pre number, statement id, post number): a lookup
+    hashes three ints, not two formula trees."""
 
     def __init__(self):
+        self.fids: dict = {}       # formula -> number
         self._data: dict = {}
         self.hits = 0
         self.misses = 0
+
+    def fid(self, f) -> int:
+        """The number of formula f, given on first sight."""
+        return self.fids.setdefault(f, len(self.fids))
 
     def get(self, key):
         v = self._data.get(key)
@@ -241,6 +245,13 @@ class EntailmentCache:
 
     def put(self, key, value: bool):
         self._data[key] = value
+
+    def items(self) -> list:
+        """The cached ((pre, stmt id, post), verdict) pairs, formulas
+        decoded from their numbers."""
+        fs = list(self.fids)
+        return [((fs[p], sid, fs[q]), v)
+                for (p, sid, q), v in self._data.items()]
 
     def __len__(self):
         return len(self._data)
@@ -266,27 +277,58 @@ def hoare_verdicts(triples, solver: SolverClient,
     solver's pool refutes it; by syntactic_verdict; else by solving pre and
     not wp(stmt, post), whose model joins the pool for every triple after
     it.  New verdicts go into the cache.  A passed deadline raises
-    ResourceLimit('timeout'), checked every 1024 triples."""
+    ResourceLimit('timeout'), checked every 1024 triples.
+
+    Each formula object is numbered once per call, by id() (the list of
+    triples keeps it alive); a pre keeps its pool mask with the pool length
+    it covers; a (stmt, post) pair computes its wp once; and consecutive
+    triples with one pair share its runs and the mask of the pool models
+    whose run ends where post fails, which is recomputed when a solve grows
+    the pool."""
     cache = cache if cache is not None else EntailmentCache()
+    triples = list(triples)        # keeps every formula, so every id(), live
+    pool = solver.pool
+    nums: dict = {}                # id(formula) -> cache number
+    pre_masks: dict = {}           # pre number -> (pool mask, pool length)
+    wps: dict = {}                 # (stmt, post number) -> wp(stmt, post)
+    pair = None                    # (stmt, post number) of the current run
     out = []
-    wps: dict = {}                 # (stmt, post) -> wp(stmt, post)
     for step, (pre, stmt, post) in enumerate(triples):
         check_deadline(deadline, step)
-        key = (pre, stmt.id, post)
+        p = nums.get(id(pre))
+        if p is None:
+            p = nums[id(pre)] = cache.fid(pre)
+        q = nums.get(id(post))
+        if q is None:
+            q = nums[id(post)] = cache.fid(post)
+        key = (p, stmt.id, q)
         verdict = cache.get(key)
         if verdict is None:
             if post == TRUE or pre == FALSE:
                 verdict = True
-            elif solver.refutes(pre, stmt, post):
-                verdict = False
             else:
-                wp = wps.get((stmt, post))
-                if wp is None:
-                    wp = wps[stmt, post] = wp_stmt(stmt, post)
-                verdict = syntactic_verdict(pre, wp)
+                if pair is None or stmt is not pair[0] or q != pair[1]:
+                    pair, runs = (stmt, q), solver.runs(stmt)
+                    covered = -1
+                if covered != len(pool):
+                    runs.catch_up()
+                    covered = len(pool)
+                    fails = runs.ended & ~runs.mask(post)
+                if fails:
+                    mask = pre_masks.get(p)
+                    if mask is None or mask[1] != covered:
+                        mask = pre_masks[p] = (solver._pool.mask(pre), covered)
+                    if fails & mask[0]:
+                        solver.pool_hits += 1
+                        verdict = False
                 if verdict is None:
-                    verdict = solver.check_sat(
-                        [pre, exprs.negate(wp)])[0] == "unsat"
+                    wp = wps.get(pair)
+                    if wp is None:
+                        wp = wps[pair] = wp_stmt(stmt, post)
+                    verdict = syntactic_verdict(pre, wp)
+                    if verdict is None:
+                        verdict = solver.check_sat(
+                            [pre, exprs.negate(wp)])[0] == "unsat"
             cache.put(key, verdict)
         out.append(verdict)
     return out

@@ -5,7 +5,7 @@ import itertools
 
 from hyperweave.antichain import Stats, _meet_over_orders, ac_insert
 from hyperweave.automata import Dfa, from_words
-from hyperweave.lta import Lta, is_empty, lta_intersect, lta_singleton
+from hyperweave.lta import Lta, inactive_baseline, lta_intersect
 from hyperweave.reduction import (LINEAR, OrderSource, ReductionTooLarge,
                                   _dep_masks)
 
@@ -46,6 +46,51 @@ def fmax_step(table, qp: int, qpi: int, ap: Dfa, api: Dfa, dep,
     rowp, rowpi = ap.delta[qp], api.delta[qpi]
     children = [table.get((rowp[a], rowpi[a]), []) for a in range(k)]
     return _meet_over_orders(children, dmasks, orders.relations(k), full, stats)
+
+
+def lta_singleton(dfa: Dfa) -> Lta:
+    """Accepts exactly {L(dfa)} (deterministic)."""
+    transitions = []
+    for q, row in enumerate(dfa.delta):
+        transitions.append([(q in dfa.finals, tuple(row))])
+    return Lta(dfa.alphabet, transitions, dfa.initial)
+
+
+def apply_inactive_step(m: Lta, current: set) -> set:
+    """One application of the inactive-states operator."""
+    out = set()
+    for q in range(m.n):
+        if all(any(succ[a] in current for a in range(len(m.alphabet)))
+               for (_, succ) in m.transitions[q]):
+            out.add(q)
+    return out
+
+
+def is_empty(m: Lta) -> bool:
+    return m.initial in inactive_baseline(m).inactive
+
+
+def partition_survivors_by_witnesses(children, dmasks, full: int) -> set:
+    """The survivors of the partition orders in closed form: the maximal T
+    inside some e(a, S) = (S|D(a))\\{a}, S in children[a], such that every
+    letter b outside S|D(a) has an entry e(b, S') that holds T.  Tries every
+    T below full."""
+    pool = [(a, s | dmasks[a], (s | dmasks[a]) & ~(1 << a))
+            for a, kids in enumerate(children) for s in kids]
+    good = []
+    for t in range(full + 1):
+        holders = 0                # letters with an entry holding t
+        for b, _, e in pool:
+            if t & ~e == 0:
+                holders |= 1 << b
+        if any(t & ~e == 0 and full & ~sd & ~holders == 0
+               for _, sd, e in pool):
+            good.append(t)
+    # good is downward closed: t is maximal iff adding no letter keeps it good
+    good = set(good)
+    return {t for t in good
+            if not any(t | 1 << b in good for b in range(full.bit_length())
+                       if not t >> b & 1)}
 
 
 def sleep_step(s: int, r, a: int, dep) -> int:

@@ -17,13 +17,13 @@ from hyperweave.automata import LazyDfa, determinize, from_words
 from hyperweave.cegar import VerifyConfig, progress_audit, verify
 from hyperweave.cli import run_benchmark
 from hyperweave.frontend import load_program
-from hyperweave.lta import inactive_baseline, is_empty, lta_intersect, lta_powerset
+from hyperweave.lta import inactive_baseline, lta_intersect, lta_powerset
 from hyperweave.reduction import (LINEAR, PARTITION, ReductionTooLarge,
                                   sleep_reduction_lta)
 from tests.conftest import (random_closed_language, random_dep, random_dfa,
                             random_nfa)
 from tests.oracles import (classes_of, closure,
-                           enumerate_reductions_bruteforce,
+                           enumerate_reductions_bruteforce, is_empty,
                            lta_accepts_language)
 
 BENCH_DIR = os.path.join(os.path.dirname(__file__), "..", "benchmarks")
@@ -227,7 +227,7 @@ def test_criterion_8_proof_nfa_integrity():
         builder = proofdb.ProofNfaBuilder(dfa.alphabet, solver, cache)
         builder.extend(proofdb.Proof(v.proof))
     stmts = {s.id: s for s in dfa.alphabet}
-    triples = list(cache._data.items())
+    triples = cache.items()
     rng = random.Random(8)
     sample = rng.sample(triples, min(100, len(triples)))
     agree = 0

@@ -11,11 +11,11 @@ from hyperweave.antichain import (Strategy, ac_covers, ac_meet, check,
 from hyperweave.automata import AlphabetError, Dfa, LazyDfa, determinize
 from hyperweave.cegar import VerifyConfig, verify
 from hyperweave.frontend import load_program
-from hyperweave.lta import (inactive_baseline, is_empty, lta_intersect,
-                            lta_powerset)
+from hyperweave.lta import inactive_baseline, lta_intersect, lta_powerset
 from hyperweave.reduction import LINEAR, PARTITION, sleep_reduction_lta
 from tests.conftest import random_dep, random_dfa, random_nfa
-from tests.oracles import ac_join, downset, fmax_step
+from tests.oracles import (ac_join, downset, fmax_step, is_empty,
+                           partition_survivors_by_witnesses)
 
 MULT = os.path.join(os.path.dirname(__file__), "..", "benchmarks",
                     "sequential", "mult_dist.imp")
@@ -144,6 +144,30 @@ def test_partition_fast_path_equals_generic_meet():
         want = ac._meet_over_orders(children, dep, PARTITION.relations(k),
                                     full, None)
         assert downset(got, k) == downset(want, k)
+        # both sort the antichain ascending, so one set is one list
+        assert got == want
+
+
+def test_partition_survivors_equal_the_witness_oracle():
+    # the lattice descent returns, sorted, the maximal sets of the closed form
+    rng = random.Random(29)
+    wide = 0
+    for _ in range(3000):
+        k = rng.randint(1, 6)
+        dep = random_dep(rng, k)
+        full = (1 << k) - 1
+        children = []
+        for _ in range(k):
+            items = []
+            for _ in range(rng.randint(0, 3)):
+                ac.ac_insert(items, rng.randrange(1 << k))
+            children.append(sorted(items))
+        got = ac._partition_survivors(children, dep, full, None)
+        assert got == sorted(set(got))
+        assert set(got) == partition_survivors_by_witnesses(children, dep,
+                                                            full)
+        wide += len(got) > 1
+    assert wide > 1000
 
 
 def test_fmax_accepting_program_nonaccepting_proof():
@@ -279,11 +303,29 @@ def test_no_dead_cell_on_atomic_mult_dist(monkeypatch):
 
     def materialize(self, cell):
         seen.append(cell)
-        real(self, cell)
+        return real(self, cell)
     monkeypatch.setattr(ac.CheckEngine, "_materialize", materialize)
     v = verify(dfa, dep, VerifyConfig(timeout=120))
     assert v.verdict == "safe"
     assert seen and all(qp in live for qp, _ in seen)
+
+
+def test_memo_ids_stand_for_sets_on_atomic_mult_dist(monkeypatch):
+    memos = []
+
+    class Recorded(ac.SurvivorMemo):
+        def __init__(self):
+            super().__init__()
+            memos.append(self)
+    monkeypatch.setattr(ac, "SurvivorMemo", Recorded)
+    dfa, dep, _ = load_program(open(MULT).read(), atomic=True)
+    assert verify(dfa, dep, VerifyConfig(timeout=120)).verdict == "safe"
+    # the loop's memo and revalidation's own
+    assert len(memos) == 2
+    for memo in memos:
+        assert len(memo.values) > 10
+        assert all(list(v) == sorted(v) for v in memo.values)
+        assert len({frozenset(v) for v in memo.values}) == len(memo.values)
 
 
 def test_proof_alphabet_order_must_match_the_program():

@@ -110,8 +110,17 @@ def test_loop_checks_share_one_memo_and_revalidation_gets_its_own(
     assert v.rounds[-1].memo_hits > 0
 
 
-FLIPPED = open(os.path.join(os.path.dirname(__file__), "..", "benchmarks",
-                            "nonatomic", "mult_dist_flipped.imp")).read()
+# benchmarks/nonatomic/mult_dist_flipped with a fourth copy: it runs for
+# far longer than either budget (unknown after 20 s on a 2-vCPU VM), while
+# the three-copy program ends safe in about 3 s
+MULT_DIST_4 = """var a, b, d, c, x1, i1, x2, i2, x3, i3, x4, i4;
+assume(a >= 0); assume(b >= 0); assume(d >= 0);
+{ x1 := 0; i1 := 0; while (i1 < a + b + d) { x1 := x1 + c; i1 := i1 + 1; } }
+|| { x2 := 0; i2 := 0; while (i2 < a) { x2 := x2 + c; i2 := i2 + 1; } }
+|| { x3 := 0; i3 := 0; while (i3 < b) { x3 := x3 + c; i3 := i3 + 1; } }
+|| { x4 := 0; i4 := 0; while (i4 < d) { x4 := x4 + c; i4 := i4 + 1; } }
+assume(x1 != x2 + x3 + x4);
+"""
 NONATOMIC_MULT = open(os.path.join(os.path.dirname(__file__), "..",
                                    "benchmarks", "nonatomic",
                                    "mult_dist.imp")).read()
@@ -121,7 +130,7 @@ STATS_KEYS = {"engine", "strategy", "orders", "proof_size", "rounds",
 
 @pytest.mark.parametrize("budget", [1.0, 3.0])
 def test_deadline_overshoot_is_bounded(budget):
-    dfa, dep, _ = load_program(FLIPPED)
+    dfa, dep, _ = load_program(MULT_DIST_4)
     t0 = time.monotonic()
     v = verify(dfa, dep, VerifyConfig(timeout=budget))
     took = time.monotonic() - t0

@@ -8,6 +8,7 @@ import pytest
 
 from hyperweave import exprs, frontend
 from hyperweave.automata import Dfa, from_words, minimize, shuffle
+from hyperweave.cli import run_benchmark
 from hyperweave.frontend import (Assign, Assume, If, Par, ParseError, Seq,
                                  Stmt, While, compute_dependence, concurrent,
                                  load_program, lower_to_dfa, parse_program,
@@ -369,6 +370,49 @@ def test_bundled_lowerings_are_pinned():
     assert got == LOWERING_DIGESTS, (
         "if the lowering changed on purpose, paste in\n"
         f"LOWERING_DIGESTS = {{\n{replacement}}}")
+
+
+def _work_dump(path: str) -> str:
+    _, v = run_benchmark(path)
+    return repr((v.verdict, len(v.rounds), v.stats["proof_size"],
+                 [(r.counterexamples, r.cells, r.fmax_calls, r.births,
+                   r.solver_queries, r.pool_hits) for r in v.rounds]))
+
+
+# the first 16 hex digits of the SHA-256 of each bundled program's
+# _work_dump, verified under its .expect; benchmarks/nonatomic/ takes
+# seconds, so it is left out
+WORK_DIGESTS = {
+    "parallel/parallelsum1_det": "a89774b2a1e725eb",
+    "parallel/simpleinc": "d93843bdd0ff9c69",
+    "parallel/spaghetti": "a171dd88e3a3ffe4",
+    "sequential/arrayeq_symm": "ee341cd01ee44034",
+    "sequential/mult_dist": "5acd114f32246d0d",
+    "sequential/mult_dist_flipped": "ea1e6a3509de16b1",
+    "sequential/security_sec": "43f38beb14b4f73c",
+    "stress/exp1x3": "75d8ac0211b3d257",
+    "stress/exp2x2": "60360dd7813c91d1",
+    "stress/exp2x3": "8b0d1d99a8eddbfc",
+    "unsafe/mult_dist_unsafe": "97b24fd0ce94d404",
+}
+
+
+def test_bundled_work_is_pinned():
+    # the work of a verification, round by round: its counterexamples, the
+    # check's cells, evaluations and births, lia solves and pool hits.  A
+    # faster check or triple layer keeps them; a change to them must update
+    # these digests on purpose
+    got = {}
+    for path in BUNDLED:
+        name = "/".join(path[:-len(".imp")].split(os.sep)[-2:])
+        if not name.startswith("nonatomic/"):
+            got[name] = hashlib.sha256(
+                _work_dump(path).encode()).hexdigest()[:16]
+    replacement = "".join(f'    "{name}": "{digest}",\n'
+                          for name, digest in sorted(got.items()))
+    assert got == WORK_DIGESTS, (
+        "if the work changed on purpose, paste in\n"
+        f"WORK_DIGESTS = {{\n{replacement}}}")
 
 
 def test_dependence_same_thread():

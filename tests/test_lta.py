@@ -5,10 +5,10 @@ import pytest
 
 from hyperweave.antichain import all_leaf_strings
 from hyperweave.automata import from_words
-from hyperweave.lta import (Lta, apply_inactive_step, build_counterexample_tree,
-                            inactive_baseline, is_empty, lta_intersect,
-                            lta_powerset, lta_singleton)
+from hyperweave.lta import (Lta, build_counterexample_tree, inactive_baseline,
+                            lta_intersect, lta_powerset)
 from tests.conftest import random_dfa
+from tests.oracles import apply_inactive_step, is_empty, lta_singleton
 
 
 def contains_language(m, words, alphabet) -> bool:

@@ -163,6 +163,65 @@ def test_a_model_found_in_a_batch_serves_the_rest_of_it():
     assert solver.pool == [{"x": 5}]
 
 
+def test_a_model_solved_inside_a_run_refutes_the_rest_of_it():
+    # consecutive triples share (stmt, post); each solve grows the pool in
+    # the middle of the run, and its model must refute the later triples
+    # that only it refutes, as it does when each triple has its own call
+    _, [step] = single_trace("var x, y; y := 1;", 1)
+    x, y = var("x"), var("y")
+    post = cmp("!=", x, num(5))
+    x5_y3 = [cmp("=", x, num(5)), cmp("=", y, num(3))]
+    triples = [(pre, step, post) for pre in (
+        cmp(">=", x, num(5)),              # lia: x = 5
+        cmp("<=", x, num(5)),              # refuted by x = 5
+        exprs.c_and(x5_y3),                # y = 0 in x = 5: lia, y = 3
+        exprs.c_and([x5_y3[0], cmp(">=", y, num(3))]))]  # refuted by y = 3
+    triples.append((cmp("<=", x, num(5)), step, cmp("!=", x, num(6))))
+    solver = proofdb.SolverClient()
+    assert proofdb.hoare_verdicts(triples, solver) == [False] * 4 + [True]
+    assert (solver.num_queries, solver.pool_hits) == (2, 2)
+    alone, cache = proofdb.SolverClient(), proofdb.EntailmentCache()
+    assert [proofdb.hoare_verdicts([t], alone, cache)[0]
+            for t in triples] == [False] * 4 + [True]
+    assert (alone.num_queries, alone.pool_hits) == (2, 2)
+    # random runs: one call does the work of one call per triple
+    _, trace = single_trace(
+        "var x, y, z; x := x + y; assume(y > z); y := 2 * z - x; z := 0;", 4)
+    rng = random.Random(5)
+    formulas = [_random_formula(rng, ["x", "y", "z"]) for _ in range(12)]
+    for _ in range(4):
+        triples = [(pre, s, post) for s in rng.sample(trace, 2)
+                   for post in rng.sample(formulas, 4)
+                   for pre in rng.sample(formulas, 6)]
+        one, alone = proofdb.SolverClient(), proofdb.SolverClient()
+        cache = proofdb.EntailmentCache()
+        assert proofdb.hoare_verdicts(triples, one) == [
+            proofdb.hoare_verdicts([t], alone, cache)[0] for t in triples]
+        assert (one.num_queries, one.pool_hits) == (alone.num_queries,
+                                                    alone.pool_hits)
+        assert one.num_queries > 0 and one.pool_hits > 0
+
+
+def test_an_equal_pre_object_hits_the_cached_verdict():
+    # the cache numbers formulas by value, not by object
+    _, [step] = single_trace("var x, y; x := x + y;", 1)
+
+    def pre():                     # a new object each call
+        return exprs.c_and([cmp("=", var("x"), num(0)),
+                            cmp("=", var("y"), num(1))])
+    post = cmp("=", var("x"), num(1))
+    solver, cache = proofdb.SolverClient(), proofdb.EntailmentCache()
+    first, again = pre(), pre()
+    assert first == again and first is not again
+    assert proofdb.hoare_verdicts([(first, step, post)], solver,
+                                  cache) == [True]
+    assert (solver.num_queries, cache.hits, len(cache)) == (1, 0, 1)
+    assert proofdb.hoare_verdicts([(again, step, post)], solver,
+                                  cache) == [True]
+    assert (solver.num_queries, cache.hits, len(cache)) == (1, 1, 1)
+    assert cache.items() == [((first, step.id, post), True)]
+
+
 def test_the_pool_keeps_every_model():
     _, [step] = single_trace("var x, y; y := 1;", 1)
     x = var("x")
@@ -191,16 +250,20 @@ def test_a_memoized_run_mask_is_extended_over_new_models():
     x = var("x")
     x_ne0 = cmp("!=", x, num(0))
     solver = _planted({"x": 1})
-    # the run from x = 1 ends satisfying x != 0: nothing refutes
-    assert not solver.refutes(cmp(">=", x, num(0)), step, x_ne0)
+    # the run from x = 1 ends satisfying x != 0: nothing refutes, and the
+    # triple is valid
+    assert proofdb.hoare_verdicts([(cmp(">=", x, num(1)), step, x_ne0)],
+                                  solver) == [True]
     runs = solver._runs[step.ops]
     assert runs.memo[x_ne0] == (0b1, 1)
+    queries = solver.num_queries
     # lia's model x = 0 joins the pool; the memoized mask of x != 0 over
     # the runs is extended to it, and it refutes a triple of the same pair
     assert solver.check_sat([cmp("=", x, num(0))]) == ("sat", {"x": 0})
-    assert solver.refutes(cmp("=", x, num(0)), step, x_ne0)
+    assert proofdb.hoare_verdicts([(cmp("=", x, num(0)), step, x_ne0)],
+                                  solver) == [False]
     assert runs.memo[x_ne0] == (0b01, 2)
-    assert (solver.num_queries, solver.pool_hits) == (1, 1)
+    assert (solver.num_queries, solver.pool_hits) == (queries + 1, 1)
 
 
 def test_statements_with_one_id_and_other_ops_get_their_own_verdicts():
@@ -242,7 +305,12 @@ def test_pool_refutation_is_exact():
         bad = exprs.c_and([pre, exprs.negate(proofdb.wp_stmt(s, post))])
         want = any(exprs.eval_formula(bad, {v: m.get(v, 0) for v in names})
                    for m in solver.pool)
-        assert solver.refutes(pre, s, post) == want, (pre, s, post, solver.pool)
+        pool, before = list(solver.pool), solver.pool_hits
+        verdict, = proofdb.hoare_verdicts([(pre, s, post)], solver)
+        # a pool hit, and only a pool hit, refutes with no solve
+        assert (solver.pool_hits > before) == want, (pre, s, post, pool)
+        if want:
+            assert not verdict and solver.pool == pool
         hits += want
     assert solver.pool_hits == hits > 50
     assert solver.num_queries > 20
