@@ -455,7 +455,11 @@ class CexForest:
                        if not s >> a & 1 and valid(a, s & ~dmasks[a])]
             for a in valid_a:
                 out.add((a, child_of(a, s & ~dmasks[a])))
-            if self.thin and valid_a:
+            if self.thin:
+                # the partition order with an empty second part gives
+                # every inactive node a valid letter
+                if not valid_a:
+                    raise BrokenInvariant("no witness letter for a node")
                 result = sorted(out)
                 self._children[node] = result
                 return result

@@ -6,16 +6,16 @@ Dfa is total: a non-accepting sink completes the transition function.
 A LazyDfa is the subset construction of an Nfa built one row at a time; it
 and Dfa share the read interface ``alphabet``, ``initial``, ``row(q)`` and
 ``is_final(q)``.  A proof automaton is read only through that interface on
-a LazyDfa; the eager ``determinize`` is kept for the explicit-LTA baseline
-and for ``from_words``.  ``minimize`` gives the canonical minimal DFA of a
-language, its states numbered breadth-first; program lowering builds its
-DFAs directly and normalizes them with it alone.
+a LazyDfa; the eager ``determinize`` is kept only for the explicit-LTA
+baseline.  ``minimize`` gives the canonical minimal DFA of a language, its
+states numbered breadth-first; program lowering builds its DFAs directly,
+a shuffle product included, and normalizes them with it alone.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .limits import check_deadline
 
@@ -32,9 +32,6 @@ class Nfa:
     initial: int
     finals: set
 
-    def successors(self, q, label):
-        return self.trans.get((q, label), set())
-
 
 @dataclass
 class Dfa:
@@ -47,42 +44,11 @@ class Dfa:
     def n(self) -> int:
         return len(self.delta)
 
-    def letter_index(self, label) -> int:
-        try:
-            return self.alphabet.index(label)
-        except ValueError:
-            raise AlphabetError(f"{label!r} not in alphabet") from None
-
-    def step(self, q: int, label) -> int:
-        return self.delta[q][self.letter_index(label)]
-
     def row(self, q: int) -> list:
         return self.delta[q]
 
     def is_final(self, q: int) -> bool:
         return q in self.finals
-
-    def accepts(self, word) -> bool:
-        q = self.initial
-        for label in word:
-            q = self.step(q, label)
-        return q in self.finals
-
-    def words_upto(self, maxlen: int) -> set:
-        """All accepted words of length <= maxlen, as tuples of labels."""
-        live = self.live_states()
-        out = set()
-        stack = [(self.initial, ())] if self.initial in live else []
-        while stack:
-            q, w = stack.pop()
-            if q in self.finals:
-                out.add(w)
-            if len(w) < maxlen:
-                for i, label in enumerate(self.alphabet):
-                    t = self.delta[q][i]
-                    if t in live:
-                        stack.append((t, w + (label,)))
-        return out
 
     def live_states(self) -> set:
         """States from which some final state is reachable."""
@@ -199,37 +165,6 @@ class LazyDfa:
         return self._masks[q] & self._live != 0
 
 
-def shuffle(a: Dfa, b: Dfa) -> Dfa:
-    """All interleavings of L(a) and L(b); alphabets must be disjoint."""
-    if set(a.alphabet) & set(b.alphabet):
-        raise AlphabetError("shuffle requires disjoint alphabets")
-    alphabet = a.alphabet + b.alphabet
-    ids = {}
-    order = []
-
-    def intern(pq):
-        if pq not in ids:
-            ids[pq] = len(order)
-            order.append(pq)
-        return ids[pq]
-
-    intern((a.initial, b.initial))
-    delta = []
-    i = 0
-    while i < len(order):
-        p, q = order[i]
-        row = []
-        for j in range(len(a.alphabet)):
-            row.append(intern((a.delta[p][j], q)))
-        for j in range(len(b.alphabet)):
-            row.append(intern((p, b.delta[q][j])))
-        delta.append(row)
-        i += 1
-    finals = frozenset(i for i, (p, q) in enumerate(order)
-                       if p in a.finals and q in b.finals)
-    return Dfa(alphabet, delta, 0, finals)
-
-
 def first_difference_trace(p: Dfa, pi, deadline: float | None = None):
     """Length-lex least word in L(p) \\ L(pi), or None if inclusion holds.
 
@@ -261,26 +196,6 @@ def first_difference_trace(p: Dfa, pi, deadline: float | None = None):
     return None
 
 
-def equivalent(a: Dfa, b: Dfa) -> bool:
-    """Language equality of two complete DFAs over the same alphabet in the
-    same order (else AlphabetError)."""
-    if tuple(a.alphabet) != tuple(b.alphabet):
-        raise AlphabetError("alphabet order differs")
-    start = (a.initial, b.initial)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        qa, qb = queue.popleft()
-        if (qa in a.finals) != (qb in b.finals):
-            return False
-        for j in range(len(a.alphabet)):
-            nxt = (a.delta[qa][j], b.delta[qb][j])
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return True
-
-
 def minimize(dfa: Dfa) -> Dfa:
     """The minimal complete DFA of L(dfa), in canonical form: Moore
     partition refinement merges language-equivalent states, then the blocks
@@ -308,22 +223,3 @@ def minimize(dfa: Dfa) -> Dfa:
         delta.append([ids[block[t]] for t in dfa.delta[q]])
     finals = frozenset(i for i, q in enumerate(reps) if q in dfa.finals)
     return Dfa(dfa.alphabet, delta, 0, finals)
-
-
-def from_words(words, alphabet) -> Dfa:
-    """Complete DFA accepting exactly the given finite set of words."""
-    words = {tuple(w) for w in words}
-    trans: dict = {}
-    finals = set()
-    ids = {(): 0}
-    order = [()]
-    for w in sorted(words, key=lambda w: (len(w), tuple(map(repr, w)))):
-        for i in range(1, len(w) + 1):
-            pref = w[:i]
-            if pref not in ids:
-                ids[pref] = len(order)
-                order.append(pref)
-            trans.setdefault((ids[w[: i - 1]], pref[-1]), set()).add(ids[pref])
-        finals.add(ids[w])
-    nfa = Nfa(len(order), tuple(alphabet), trans, 0, finals)
-    return determinize(nfa, tuple(alphabet))

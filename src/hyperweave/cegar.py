@@ -226,6 +226,9 @@ def verify(program: Dfa, dep, config: VerifyConfig | None = None):
             else:
                 words = ac.extract_counterexamples(forest, program.alphabet,
                                                    cfg.strategy)
+            # the forest holds the check's engine and proof DFA: free them
+            # before the next check builds its own
+            forest = None
             t_extract = time.monotonic() - t0
             if not words:
                 return Unknown("no counterexample extracted", rounds, stats)

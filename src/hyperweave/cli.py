@@ -36,15 +36,6 @@ def formula_to_json(f):
     return [f[0], [formula_to_json(g) for g in f[1]]]
 
 
-def formula_from_json(obj):
-    tag = obj[0]
-    if tag in ("true", "false"):
-        return (tag,)
-    if tag in ("le", "eq", "ne"):
-        return (tag, tuple((v, a) for v, a in obj[1]), obj[2])
-    return (tag, tuple(formula_from_json(g) for g in obj[1]))
-
-
 def _build_config(options: dict) -> cegar.VerifyConfig:
     """The VerifyConfig named by option strings, keyed as in a .expect file
     and as verify's flags; an absent key takes VerifyConfig's default."""

@@ -26,10 +26,6 @@ class NonlinearError(Exception):
     """Raised when an expression is not linear in the program variables."""
 
 
-def num(k: int):
-    return ("num", k)
-
-
 def var(name: str):
     return ("var", name)
 
@@ -186,18 +182,13 @@ def c_or(parts: Iterable):
 
 
 def canon_raw(f):
-    """Canonicalize a raw boolean tree (from the parser) into NNF."""
+    """Canonicalize a raw condition from the parser, a comparison under
+    any number of negations, into NNF."""
     tag = f[0]
-    if tag in ("true", "false"):
-        return (tag,)
     if tag == "cmp":
         return atom_from_cmp(f[1], f[2], f[3])
     if tag == "not":
         return negate(canon_raw(f[1]))
-    if tag == "and":
-        return c_and([canon_raw(g) for g in f[1]])
-    if tag == "or":
-        return c_or([canon_raw(g) for g in f[1]])
     raise ValueError(f"bad bool expression {f!r}")
 
 

@@ -16,10 +16,11 @@ of its own, so a fragment is deterministic, as a position automaton is
 (Berry & Sethi 1986): its transitions map (state, statement) to one target.
 ``_complete`` adds the sink and hands the DFA to ``minimize``, the one
 normalizer, which merges dead states and numbers states breadth-first.  A
-shuffle product is embedded with only its live states, its first letters
-leaving every entry.  Every statement, fused or not, takes its id from one
-counter, so emitted alphabets are in id order without ties, and renumbering
-ids permutes no column.
+parallel composition is built in one pass, as the product of its branch
+DFAs: only the tuples of branch states whose every component is live get a
+state, and the initial tuple's letters leave every entry.  Every
+statement, fused or not, takes its id from one counter, so emitted alphabets
+are in id order without ties, and renumbering ids permutes no column.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import re
 from dataclasses import dataclass
 
 from . import exprs
-from .automata import Dfa, minimize, shuffle
+from .automata import Dfa, minimize
 
 
 class ParseError(Exception):
@@ -468,20 +469,33 @@ class _Fragment:
         for u in sources:
             self.trans[u, stmt] = v
 
-    def embed_dfa(self, dfa: Dfa, entries: set) -> set:
-        """Copy a DFA's live states, and the edges between them, into this
-        fragment; the initial state's live out-edges also leave every entry.
-        Returns the copied finals, plus the entries when the DFA accepts
-        the empty word."""
-        live = dfa.live_states()
-        ids = {q: self.state() for q in sorted(live)}
-        for q in live:
-            sources = {ids[q]} | (entries if q == dfa.initial else set())
-            for label, t in zip(dfa.alphabet, dfa.delta[q]):
-                if t in live:
-                    self.edge(sources, label, ids[t])
-        exits = {ids[q] for q in dfa.finals}
-        return exits | entries if dfa.initial in dfa.finals else exits
+    def shuffle(self, dfas: list, entries: set) -> set:
+        """Add the shuffle product of dfas, whose alphabets are disjoint,
+        after the entry states: its tuples of states are visited breadth-
+        first from the initial one, and only those whose every component is
+        live, since those are the product's live states.  The initial
+        tuple's edges also leave every entry.  Returns the final tuples'
+        states, plus the entries when the product accepts the empty word."""
+        lives = [d.live_states() for d in dfas]
+        start = tuple(d.initial for d in dfas)
+        if not all(q in live for q, live in zip(start, lives)):
+            return set()
+        ids = {start: self.state()}
+        order = [start]
+        exits = set()
+        for tup in order:                  # grows as tuples are reached
+            sources = {ids[tup]} | (entries if tup is start else set())
+            for i, (d, live) in enumerate(zip(dfas, lives)):
+                for label, t in zip(d.alphabet, d.delta[tup[i]]):
+                    if t in live:
+                        nxt = tup[:i] + (t,) + tup[i + 1:]
+                        if nxt not in ids:
+                            ids[nxt] = self.state()
+                            order.append(nxt)
+                        self.edge(sources, label, ids[nxt])
+            if all(q in d.finals for q, d in zip(tup, dfas)):
+                exits.add(ids[tup])
+        return exits | entries if ids[start] in exits else exits
 
 
 class _Lowerer:
@@ -557,10 +571,7 @@ class _Lowerer:
                 if self.atomic:
                     dfa = fuse_chains(dfa, self.counter)
                 branch_dfas.append(dfa)
-            prod = branch_dfas[0]
-            for d in branch_dfas[1:]:
-                prod = shuffle(prod, d)
-            return frag.embed_dfa(prod, entries)
+            return frag.shuffle(branch_dfas, entries)
         raise TypeError(node)
 
     def fragment_dfa(self, node, region: tuple) -> Dfa:

@@ -246,13 +246,6 @@ class EntailmentCache:
     def put(self, key, value: bool):
         self._data[key] = value
 
-    def items(self) -> list:
-        """The cached ((pre, stmt id, post), verdict) pairs, formulas
-        decoded from their numbers."""
-        fs = list(self.fids)
-        return [((fs[p], sid, fs[q]), v)
-                for (p, sid, q), v in self._data.items()]
-
     def __len__(self):
         return len(self._data)
 
@@ -588,7 +581,7 @@ def _interpolate_farkas(trace) -> list | None:
                     for case in cases:
                         case.extend(facets)
                 else:
-                    return None  # disjunctive assume: no conjunctive encoding
+                    return None  # only a false assume is no atom; wp handles it
 
     per_case_sums = []
     for case in cases:

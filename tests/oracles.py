@@ -2,13 +2,140 @@
 does not call them."""
 
 import itertools
+from collections import deque
 
 from hyperweave.antichain import Stats, _meet_over_orders, ac_insert
-from hyperweave.automata import Dfa, from_words
+from hyperweave.automata import AlphabetError, Dfa, Nfa, determinize
 from hyperweave.lta import Lta, inactive_baseline, lta_intersect
 from hyperweave.reduction import (LINEAR, OrderSource, ReductionTooLarge,
                                   _dep_masks)
 
+
+# ------------------------------------------------------- automata oracles
+
+def successors(nfa: Nfa, q, label) -> set:
+    return nfa.trans.get((q, label), set())
+
+
+def accepts(dfa: Dfa, word) -> bool:
+    q = dfa.initial
+    for label in word:
+        q = dfa.delta[q][dfa.alphabet.index(label)]
+    return q in dfa.finals
+
+
+def words_upto(dfa: Dfa, maxlen: int) -> set:
+    """All words dfa accepts of length <= maxlen, as tuples of labels."""
+    live = dfa.live_states()
+    out = set()
+    stack = [(dfa.initial, ())] if dfa.initial in live else []
+    while stack:
+        q, w = stack.pop()
+        if q in dfa.finals:
+            out.add(w)
+        if len(w) < maxlen:
+            for i, label in enumerate(dfa.alphabet):
+                t = dfa.delta[q][i]
+                if t in live:
+                    stack.append((t, w + (label,)))
+    return out
+
+
+def from_words(words, alphabet) -> Dfa:
+    """Complete DFA accepting exactly the given finite set of words."""
+    words = {tuple(w) for w in words}
+    trans: dict = {}
+    finals = set()
+    ids = {(): 0}
+    order = [()]
+    for w in sorted(words, key=lambda w: (len(w), tuple(map(repr, w)))):
+        for i in range(1, len(w) + 1):
+            pref = w[:i]
+            if pref not in ids:
+                ids[pref] = len(order)
+                order.append(pref)
+            trans.setdefault((ids[w[: i - 1]], pref[-1]), set()).add(ids[pref])
+        finals.add(ids[w])
+    nfa = Nfa(len(order), tuple(alphabet), trans, 0, finals)
+    return determinize(nfa, tuple(alphabet))
+
+
+def equivalent(a: Dfa, b: Dfa) -> bool:
+    """Language equality of two complete DFAs over the same alphabet in the
+    same order (else AlphabetError)."""
+    if tuple(a.alphabet) != tuple(b.alphabet):
+        raise AlphabetError("alphabet order differs")
+    start = (a.initial, b.initial)
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        qa, qb = queue.popleft()
+        if (qa in a.finals) != (qb in b.finals):
+            return False
+        for j in range(len(a.alphabet)):
+            nxt = (a.delta[qa][j], b.delta[qb][j])
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return True
+
+
+def shuffle(a: Dfa, b: Dfa) -> Dfa:
+    """All interleavings of L(a) and L(b), as the complete product DFA;
+    alphabets must be disjoint."""
+    if set(a.alphabet) & set(b.alphabet):
+        raise AlphabetError("shuffle requires disjoint alphabets")
+    alphabet = a.alphabet + b.alphabet
+    ids = {}
+    order = []
+
+    def intern(pq):
+        if pq not in ids:
+            ids[pq] = len(order)
+            order.append(pq)
+        return ids[pq]
+
+    intern((a.initial, b.initial))
+    delta = []
+    i = 0
+    while i < len(order):
+        p, q = order[i]
+        row = []
+        for j in range(len(a.alphabet)):
+            row.append(intern((a.delta[p][j], q)))
+        for j in range(len(b.alphabet)):
+            row.append(intern((p, b.delta[q][j])))
+        delta.append(row)
+        i += 1
+    finals = frozenset(i for i, (p, q) in enumerate(order)
+                       if p in a.finals and q in b.finals)
+    return Dfa(alphabet, delta, 0, finals)
+
+
+# ------------------------------------------------- formula and cache oracles
+
+def num(k: int):
+    return ("num", k)
+
+
+def formula_from_json(obj):
+    """The formula that cli.formula_to_json wrote as obj."""
+    tag = obj[0]
+    if tag in ("true", "false"):
+        return (tag,)
+    if tag in ("le", "eq", "ne"):
+        return (tag, tuple((v, a) for v, a in obj[1]), obj[2])
+    return (tag, tuple(formula_from_json(g) for g in obj[1]))
+
+
+def cache_items(cache) -> list:
+    """The ((pre, stmt id, post), verdict) pairs of an EntailmentCache,
+    formulas decoded from their numbers."""
+    fs = list(cache.fids)
+    return [((fs[p], sid, fs[q]), v) for (p, sid, q), v in cache._data.items()]
+
+
+# ------------------------------------------------- antichain and LTA oracles
 
 def ac_join(x, y) -> list:
     """The maximal elements of the union of the antichains x and y."""

@@ -13,7 +13,7 @@ import pytest
 
 from hyperweave import cegar, proofdb
 from hyperweave.antichain import Strategy, check, extract_counterexamples
-from hyperweave.automata import LazyDfa, determinize, from_words
+from hyperweave.automata import LazyDfa, determinize
 from hyperweave.cegar import VerifyConfig, progress_audit, verify
 from hyperweave.cli import run_benchmark
 from hyperweave.frontend import load_program
@@ -22,9 +22,9 @@ from hyperweave.reduction import (LINEAR, PARTITION, ReductionTooLarge,
                                   sleep_reduction_lta)
 from tests.conftest import (random_closed_language, random_dep, random_dfa,
                             random_nfa)
-from tests.oracles import (classes_of, closure,
-                           enumerate_reductions_bruteforce, is_empty,
-                           lta_accepts_language)
+from tests.oracles import (accepts, cache_items, classes_of, closure,
+                           enumerate_reductions_bruteforce, from_words,
+                           is_empty, lta_accepts_language)
 
 BENCH_DIR = os.path.join(os.path.dirname(__file__), "..", "benchmarks")
 
@@ -137,7 +137,7 @@ def test_criterion_3_counterexample_adequacy():
         cex_set = {tuple(w) for w in cexs}
         assert len(cex_set) < 100000  # finite and materialized
         for red in reds:
-            if not any(w in red and not api.accepts(w) for w in cex_set):
+            if not any(w in red and not accepts(api, w) for w in cex_set):
                 misses += 1
     took = time.monotonic() - t0
     assert instances > 20, "pool produced too few NotCovered instances"
@@ -227,7 +227,7 @@ def test_criterion_8_proof_nfa_integrity():
         builder = proofdb.ProofNfaBuilder(dfa.alphabet, solver, cache)
         builder.extend(proofdb.Proof(v.proof))
     stmts = {s.id: s for s in dfa.alphabet}
-    triples = cache.items()
+    triples = cache_items(cache)
     rng = random.Random(8)
     sample = rng.sample(triples, min(100, len(triples)))
     agree = 0

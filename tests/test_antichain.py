@@ -2,6 +2,7 @@ import itertools
 import os
 import random
 import time
+import types
 
 import pytest
 
@@ -11,10 +12,11 @@ from hyperweave.antichain import (Strategy, ac_covers, ac_meet, check,
 from hyperweave.automata import AlphabetError, Dfa, LazyDfa, determinize
 from hyperweave.cegar import VerifyConfig, verify
 from hyperweave.frontend import load_program
-from hyperweave.lta import inactive_baseline, lta_intersect, lta_powerset
+from hyperweave.lta import (BrokenInvariant, inactive_baseline, lta_intersect,
+                           lta_powerset)
 from hyperweave.reduction import LINEAR, PARTITION, sleep_reduction_lta
 from tests.conftest import random_dep, random_dfa, random_nfa
-from tests.oracles import (ac_join, downset, fmax_step, is_empty,
+from tests.oracles import (ac_join, accepts, downset, fmax_step, is_empty,
                            partition_survivors_by_witnesses)
 
 MULT = os.path.join(os.path.dirname(__file__), "..", "benchmarks",
@@ -387,7 +389,7 @@ def test_counterexamples_valid_and_strategies():
     assert set(pe) >= set(rr)
     for w in pe + rr + l1:
         word = [dfa.alphabet[a] for a in w]
-        assert dfa.accepts(word) and not api.accepts(word)
+        assert accepts(dfa, word) and not accepts(api, word)
     m2 = extract_counterexamples(res.forest, dfa.alphabet, Strategy("bpe", "m", 2))
     assert 1 <= len(m2) <= 2
 
@@ -412,3 +414,17 @@ def test_stats_counters_present():
     d = res.stats.as_dict()
     assert d["cells"] > 0 and d["fmax_calls"] > 0
     assert "peak_width" in d and "joins" in d and "meets" in d
+
+
+def test_thin_forest_reports_a_missing_witness_as_broken():
+    # a fake engine whose every node has rank 1, so no letter leads to a
+    # smaller rank: a thin forest must call that a broken invariant, and not
+    # search partition subsets, which gives up past 14 letters
+    k = 15
+    one_state = Dfa(tuple(range(k)), [[0] * k], 0, frozenset())
+    engine = types.SimpleNamespace(
+        ap=one_state, api=one_state, k=k, dmasks=[1 << a for a in range(k)],
+        partition=True, relations=None, rank=lambda cell, s: 1)
+    forest = ac.CexForest(engine, thin=True)
+    with pytest.raises(BrokenInvariant, match="no witness"):
+        forest.children(forest.root)

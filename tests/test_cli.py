@@ -12,11 +12,11 @@ import pytest
 from hyperweave import cegar, cli, lia, proofdb
 from hyperweave.antichain import check
 from hyperweave.automata import LazyDfa, determinize
-from hyperweave.cli import (_print_text, formula_from_json, formula_to_json,
-                            main, run_benchmark)
+from hyperweave.cli import _print_text, formula_to_json, main, run_benchmark
 from hyperweave.frontend import DependenceRel, load_program
 from hyperweave.reduction import PARTITION
 from tests.conftest import child_env
+from tests.oracles import formula_from_json
 
 SAFE_SRC = """
 var x, y;
@@ -345,7 +345,8 @@ def test_text_proof_automaton_equals_full_determinization(
 
 
 def test_formula_json_identity():
-    from hyperweave.exprs import atom_from_cmp, c_and, c_or, negate, num, var
+    from hyperweave.exprs import atom_from_cmp, c_and, c_or, negate, var
+    from tests.oracles import num
     f = c_or([c_and([atom_from_cmp("<", var("x"), num(3)),
                      atom_from_cmp("!=", var("y"), var("x"))]),
               negate(atom_from_cmp("=", var("z"), num(0)))])

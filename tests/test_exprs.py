@@ -3,7 +3,8 @@ import random
 from hypothesis import given, strategies as st
 
 from hyperweave import exprs
-from hyperweave.exprs import FALSE, TRUE, atom_from_cmp, num, var
+from hyperweave.exprs import FALSE, TRUE, atom_from_cmp, var
+from tests.oracles import num
 
 
 def cmp(op, l, r):

@@ -1,3 +1,4 @@
+import functools
 import glob
 import hashlib
 import itertools
@@ -7,13 +8,14 @@ import random
 import pytest
 
 from hyperweave import exprs, frontend
-from hyperweave.automata import Dfa, from_words, minimize, shuffle
+from hyperweave.automata import Dfa, minimize
 from hyperweave.cli import run_benchmark
 from hyperweave.frontend import (Assign, Assume, If, Par, ParseError, Seq,
                                  Stmt, While, compute_dependence, concurrent,
                                  load_program, lower_to_dfa, parse_program,
                                  tokenize)
-from tests.conftest import random_program
+from tests.conftest import random_dfa, random_program
+from tests.oracles import shuffle, words_upto
 
 MULT = """
 var a, b, c, x1, i1, x2, i2, x3, i3;
@@ -152,7 +154,7 @@ def test_shared_names_must_be_declared(body):
 def test_single_statement_dfa():
     dfa = lower_to_dfa(parse_program("var x; x := 0;"))
     assert len(dfa.alphabet) == 1
-    assert dfa.words_upto(2) == {(dfa.alphabet[0],)}
+    assert words_upto(dfa, 2) == {(dfa.alphabet[0],)}
 
 
 def test_while_language():
@@ -161,7 +163,7 @@ def test_while_language():
     enter = by_disp["assume(g > 0)"]
     body = by_disp["x := 1"]
     leave = by_disp["assume(!(g > 0))"]
-    words = dfa.words_upto(5)
+    words = words_upto(dfa, 5)
     want = {(leave,), (enter, body, leave,), (enter, body, enter, body, leave)}
     assert want <= words
     assert all(w[-1] is leave for w in words)
@@ -173,7 +175,7 @@ def test_parallel_language_is_shuffle():
     per_thread = {}
     for s in dfa.alphabet:
         per_thread.setdefault(s.thread, []).append(s)
-    words = {tuple(s.id for s in w) for w in dfa.words_upto(8)}
+    words = {tuple(s.id for s in w) for w in words_upto(dfa, 8)}
     # independent enumeration of all interleavings with per-thread order kept
     t0 = sorted(per_thread[0], key=lambda s: s.id)
     seqs = [[s.id for s in t0]] + [[per_thread[t][0].id] for t in (1, 2)]
@@ -190,10 +192,71 @@ def test_parallel_language_is_shuffle():
     assert words == set(interleavings(seqs))
 
 
+
+def _par_text(branches) -> str:
+    return " || ".join("{ " + (_par_text(b) if isinstance(b, list) else b)
+                       + " }" for b in branches)
+
+
+def _par_oracle(decl: str, branches) -> Dfa:
+    """The shuffle oracle's product of the branches, over statement
+    displays; a branch is a program text, lowered on its own, or a list of
+    branches in parallel."""
+    dfas = []
+    for b in branches:
+        if isinstance(b, list):
+            dfas.append(_par_oracle(decl, b))
+        else:
+            d = lower_to_dfa(parse_program(decl + b))
+            dfas.append(Dfa(tuple(s.display for s in d.alphabet), d.delta,
+                            d.initial, d.finals))
+    return functools.reduce(shuffle, dfas)
+
+
+# every statement displays uniquely, so displays name the letters; the
+# lowering evaluates no condition, so assume(0 > 1) is a one-word branch
+@pytest.mark.parametrize("branches", [
+    ["x := 1; x := 2;", "y := 1;", "if (z > 0) { z := 1; } else { z := 2; }"],
+    ["x := 1; x := 2;", "y := 1;", "z := 1;", "while (w < 2) { w := w + 1; }"],
+    ["x := 1;", ["y := 1; y := 2;", "z := 1;"], "w := 1;"],
+    ["x := 1;", "", "y := 1; y := 2;"],
+    ["x := 1;", "assume(0 > 1);", "y := 1;"],
+], ids=["3-branches", "4-branches", "nested", "nullable", "assume-false"])
+def test_parallel_lowering_matches_shuffle_oracle(branches):
+    decl = "var w, x, y, z; "
+    text = decl + "w := 0; " + _par_text(branches) + " z := 3;"
+    dfa = lower_to_dfa(parse_program(text))
+    words = {tuple(s.display for s in w) for w in words_upto(dfa, 8)}
+    par = words_upto(_par_oracle(decl, branches), 6)
+    assert words == {("w := 0",) + w + ("z := 3",) for w in par}
+
+
+def test_fragment_shuffle_matches_shuffle_oracle():
+    # random factors over disjoint alphabets, empty and nullable languages
+    # among them, added after two entry states
+    rng = random.Random(26)
+    for trial in range(300):
+        factors, ids = [], itertools.count()
+        for _ in range(rng.randint(1, 4)):
+            d = random_dfa(rng, 3, rng.randint(0, 2))
+            factors.append(Dfa(tuple(Stmt(next(ids), 0, (), (), frozenset(),
+                                          frozenset(), "") for _ in d.alphabet),
+                               d.delta, d.initial, d.finals))
+        frag = frontend._Fragment()
+        a, b = frag.state(), frag.state()
+        exits = frag.shuffle(factors, {a, b})
+        if any(d.initial not in d.live_states() for d in factors):
+            assert frag.n == 2      # an empty factor adds no state
+        want = words_upto(functools.reduce(shuffle, factors), 5)
+        for entry in (a, b):
+            got = frontend._complete(frag.n, frag.trans, entry, exits)
+            assert words_upto(got, 5) == want, trial
+
+
 def test_if_else_language():
     src = "var g, x; if (g = 0) { x := 1; } else { x := 2; }"
     dfa = lower_to_dfa(parse_program(src))
-    words = dfa.words_upto(3)
+    words = words_upto(dfa, 3)
     assert len(words) == 2
     assert all(len(w) == 2 for w in words)
 
@@ -229,9 +292,9 @@ def test_atomic_block_expansion_bijection():
     # every bounded-length fused word expands to an accepted plain word
     expand = {s: [st for st in s.ops] for s in fused.alphabet}
     plain_words = {tuple(str(op) for s in w for op in s.ops)
-                   for w in plain.words_upto(8)}
+                   for w in words_upto(plain, 8)}
     fused_words = {tuple(str(op) for s in w for op in s.ops)
-                   for w in fused.words_upto(4) if sum(len(s.ops) for s in w) <= 8}
+                   for w in words_upto(fused, 4) if sum(len(s.ops) for s in w) <= 8}
     assert fused_words <= plain_words
 
 
@@ -324,7 +387,7 @@ def test_random_lowerings_have_the_language_of_their_ast():
         text = random_program(rng, depth=rng.randint(1, 3))
         ast = parse_program(text)
         dfa = lower_to_dfa(ast)
-        words = {tuple(s.display for s in w) for w in dfa.words_upto(6)}
+        words = {tuple(s.display for s in w) for w in words_upto(dfa, 6)}
         assert words == _language(ast.body, 6), text
 
 
@@ -456,7 +519,7 @@ def test_program_language_is_dependence_closed():
         "var a, x1, x2; { x1 := a; x1 := x1 + 1; } || { x2 := a; }",
     ]:
         dfa, dep, _ = load_program(src)
-        words = {tuple(s.id for s in w) for w in dfa.words_upto(6)}
+        words = {tuple(s.id for s in w) for w in words_upto(dfa, 6)}
         # closure only adds permutations of the same letters, so bounded
         # enumeration is closed iff the language is
         assert is_closed(words, dep.masks)

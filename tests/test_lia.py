@@ -6,7 +6,8 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 from hyperweave import exprs, lia
-from hyperweave.exprs import atom_from_cmp, num, var
+from hyperweave.exprs import atom_from_cmp, var
+from tests.oracles import num
 
 
 def cmp(op, l, r):

@@ -4,11 +4,11 @@ import random
 import pytest
 
 from hyperweave.antichain import all_leaf_strings
-from hyperweave.automata import from_words
 from hyperweave.lta import (Lta, build_counterexample_tree, inactive_baseline,
                             lta_intersect, lta_powerset)
 from tests.conftest import random_dfa
-from tests.oracles import apply_inactive_step, is_empty, lta_singleton
+from tests.oracles import (accepts, apply_inactive_step, from_words, is_empty,
+                           lta_singleton, words_upto)
 
 
 def contains_language(m, words, alphabet) -> bool:
@@ -46,7 +46,7 @@ def test_powerset_membership_is_inclusion():
         small = random_dfa(rng, 3, 2)
         m = lta_powerset(big)
         got = contains_language(m, [], None) if False else None
-        inc = all(big.accepts(w) for w in small.words_upto(6))
+        inc = all(accepts(big, w) for w in words_upto(small, 6))
         sing = lta_singleton(small)
         # reindex not needed: alphabets are identical tuples
         assert (not is_empty(lta_intersect(sing, m))) == inc
@@ -162,7 +162,7 @@ def test_tree_leaves_rejected_by_proof():
         tree = build_counterexample_tree(m, inact)
         for s in all_leaf_strings(tree):
             word = [m.alphabet[a] for a in s]
-            assert p.accepts(word) and not pi.accepts(word)
+            assert accepts(p, word) and not accepts(pi, word)
     assert checked > 10
 
 

@@ -7,10 +7,12 @@ import pytest
 from hyperweave import exprs, limits, proofdb
 from hyperweave.automata import determinize
 from hyperweave.cegar import VerifyConfig, verify
-from hyperweave.exprs import FALSE, TRUE, atom_from_cmp, num, var
+from hyperweave.exprs import FALSE, TRUE, atom_from_cmp, var
 from hyperweave.frontend import load_program
 from hyperweave.limits import ResourceLimit
 from tests.conftest import random_program
+from tests.oracles import (accepts, cache_items, num, successors,
+                           words_upto)
 
 BENCH_DIR = os.path.join(os.path.dirname(__file__), "..", "benchmarks")
 
@@ -27,7 +29,7 @@ def wp_only(monkeypatch):
 
 def single_trace(src, length):
     dfa, dep, _ = load_program(src)
-    words = [w for w in dfa.words_upto(length) if len(w) == length]
+    words = [w for w in words_upto(dfa, length) if len(w) == length]
     assert words
     return dfa, list(words[0])
 
@@ -219,7 +221,7 @@ def test_an_equal_pre_object_hits_the_cached_verdict():
     assert proofdb.hoare_verdicts([(again, step, post)], solver,
                                   cache) == [True]
     assert (solver.num_queries, cache.hits, len(cache)) == (1, 1, 1)
-    assert cache.items() == [((first, step.id, post), True)]
+    assert cache_items(cache) == [((first, step.id, post), True)]
 
 
 def test_the_pool_keeps_every_model():
@@ -360,12 +362,12 @@ def test_proof_nfa_trivial_pi(solver):
     contradiction = [s for s in dfa.alphabet if s.kind == "assume"][0]
     assign = [s for s in dfa.alphabet if s.kind == "assign"][0]
     ti, fi = 0, 1
-    assert fi in nfa.successors(ti, contradiction)
-    assert fi not in nfa.successors(ti, assign)
+    assert fi in successors(nfa, ti, contradiction)
+    assert fi not in successors(nfa, ti, assign)
     # false self-loops on every statement, true self-loops on every statement
     for s in dfa.alphabet:
-        assert fi in nfa.successors(fi, s)
-        assert ti in nfa.successors(ti, s)
+        assert fi in successors(nfa, fi, s)
+        assert ti in successors(nfa, ti, s)
 
 
 def test_proof_nfa_true_never_final(solver):
@@ -394,7 +396,7 @@ def test_proof_language_monotone(solver, wp_only):
     dfa, dep, _ = load_program(
         "var x; assume(x = 0); x := x + 1; assume(x = 0);")
     cache = proofdb.EntailmentCache()
-    trace = [w for w in dfa.words_upto(3) if len(w) == 3][0]
+    trace = [w for w in words_upto(dfa, 3) if len(w) == 3][0]
     chain = proofdb.interpolate(list(trace), solver, cache=cache)
     small = proofdb.Proof()
     big = proofdb.Proof(chain[1:-1])
@@ -403,10 +405,10 @@ def test_proof_language_monotone(solver, wp_only):
     nfa_big = proofdb.ProofNfaBuilder(dfa.alphabet, solver, cache).extend(big)
     d_small = determinize(nfa_small, dfa.alphabet)
     d_big = determinize(nfa_big, dfa.alphabet)
-    for w in dfa.words_upto(3):
-        if d_small.accepts(w):
-            assert d_big.accepts(w)
-    assert d_big.accepts(trace)
+    for w in words_upto(dfa, 3):
+        if accepts(d_small, w):
+            assert accepts(d_big, w)
+    assert accepts(d_big, trace)
 
 
 def test_feasible_and_model(solver):
@@ -448,7 +450,7 @@ def test_interpolate_farkas_chain_valid(solver):
     assume(x != y);
     """
     dfa, dep, _ = load_program(src)
-    trace = [w for w in dfa.words_upto(4) if len(w) == 4][0]
+    trace = [w for w in words_upto(dfa, 4) if len(w) == 4][0]
     chain = proofdb.interpolate(list(trace), solver, cache=cache)
     assert chain[0] == TRUE and chain[-1] == FALSE
     for i in range(len(trace)):
@@ -466,8 +468,8 @@ def test_interpolate_falls_back_to_wp(solver, src):
     # no Farkas chain: integer-only infeasibility, more disequalities than
     # the case split takes, and a guard that is FALSE
     dfa, _, _ = load_program(src)
-    [trace] = [list(w) for w in dfa.words_upto(len(dfa.alphabet))
-               if dfa.accepts(w)]
+    [trace] = [list(w) for w in words_upto(dfa, len(dfa.alphabet))
+               if accepts(dfa, w)]
     assert proofdb.feasible(trace, solver) is None
     assert proofdb._interpolate_farkas(trace) is None
     chain = proofdb.interpolate(trace, solver)

@@ -3,13 +3,13 @@ import random
 
 import pytest
 
-from hyperweave.automata import from_words
 from hyperweave.reduction import (LINEAR, PARTITION, OrderSource,
                                   ReductionTooLarge, sleep_reduction_lta)
 from tests.conftest import random_closed_language, random_dep
 from tests.oracles import (classes_of, closure,
-                           enumerate_reductions_bruteforce, is_closed,
-                           lta_accepts_language, sleep_step, word_class)
+                           enumerate_reductions_bruteforce, from_words,
+                           is_closed, lta_accepts_language, sleep_step,
+                           word_class, words_upto)
 
 INDEP2 = (0b01, 0b10)
 DEP2 = (0b11, 0b11)
@@ -186,7 +186,7 @@ def test_input_programs_are_closed_by_construction():
     from hyperweave.frontend import load_program
     dfa, dep, _ = load_program(
         "var a, x, y; { x := a; x := x + 1; } || { y := a; } assume(x = y);")
-    words = {tuple(s.id for s in w) for w in dfa.words_upto(6)}
+    words = {tuple(s.id for s in w) for w in words_upto(dfa, 6)}
     assert is_closed(words, dep.masks)
 
 
@@ -204,7 +204,7 @@ def test_reductions_preserve_feasibility(solver):
     ]:
         dfa, dep, _ = load_program(src)
         stmts = dfa.alphabet
-        lang = {tuple(s.id for s in w) for w in dfa.words_upto(6)}
+        lang = {tuple(s.id for s in w) for w in words_upto(dfa, 6)}
         reds = enumerate_reductions_bruteforce(lang, dep.masks, len(stmts),
                                                max_langs=200, max_nodes=400)
 
