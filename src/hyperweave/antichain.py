@@ -413,20 +413,11 @@ class CexForest:
         # but no per-order adequacy (fine for the bounded strategies)
         self.thin = thin
         self._children: dict = {}
-        self._rank_cache: dict = {}
         self.root = (engine.ap.initial, engine.api.initial, 0)
 
     def is_leaf(self, node) -> bool:
         qp, qpi, _ = node
         return qp in self.e.ap.finals and not self.e.api.is_final(qpi)
-
-    def _rank(self, cell, s: int):
-        key = (cell, s)
-        hit = self._rank_cache.get(key)
-        if hit is None:
-            hit = self.e.rank(cell, s)
-            self._rank_cache[key] = hit
-        return hit
 
     def children(self, node):
         hit = self._children.get(node)
@@ -436,7 +427,7 @@ class CexForest:
         if self.is_leaf(node):
             raise BrokenInvariant("children requested for a leaf")
         cell = (qp, qpi)
-        r0 = self._rank(cell, s)
+        r0 = self.e.rank(cell, s)
         if r0 is None:
             raise BrokenInvariant("children requested for an active state")
         rowp, rowpi = self.e.ap.delta[qp], self.e.api.row(qpi)
@@ -445,7 +436,7 @@ class CexForest:
             return (rowp[a], rowpi[a], sleep)
 
         def valid(a: int, sleep: int) -> bool:
-            rr = self._rank((rowp[a], rowpi[a]), sleep)
+            rr = self.e.rank((rowp[a], rowpi[a]), sleep)
             return rr is not None and rr < r0
 
         k, dmasks = self.e.k, self.e.dmasks
@@ -476,8 +467,6 @@ class CexForest:
                 else:
                     raise BrokenInvariant(
                         "no witness letter for a partition order")
-                if self.thin and out:
-                    break
         else:
             for r in self.e.relations:
                 for a in range(k):
@@ -636,8 +625,6 @@ def rr_leaf(forest, alphabet) -> tuple:
                     break
             if pick:
                 break
-        if pick is None:
-            pick = kids[0]
         path.append(pick[0])
         node = pick[1]
         depth += 1

@@ -18,8 +18,8 @@ import time
 from . import cegar, exprs, proofdb
 from .antichain import Strategy
 from .automata import LazyDfa
-from .frontend import ParseError, compute_dependence, load_program
-from .reduction import LINEAR, PARTITION, OrderSource
+from .frontend import ParseError, load_program
+from .reduction import LINEAR, PARTITION
 
 EXIT_SAFE = 0
 EXIT_UNSAFE = 1

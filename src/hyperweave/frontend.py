@@ -400,9 +400,6 @@ class Stmt:
     def __repr__(self):
         return f"s{self.id}<{self.display}>"
 
-    def __lt__(self, other):
-        return self.id < other.id
-
 
 def _fmt_raw_bool(e) -> str:
     if e[0] == "not":

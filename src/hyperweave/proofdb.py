@@ -5,10 +5,13 @@ process with ``lia`` and keeps every model it finds.  Entailment verdicts are
 cached across refinement rounds.  ``hoare_verdicts`` is the one place that
 decides Hoare triples: the proof NFA's edges and each interpolation chain
 (all its triples in one call, through the same cache) go through it, so a
-generation bug can never produce an unsound proof automaton.  It refutes
-most invalid triples without building a formula: it runs the statement on
-every model the client has found and evaluates the postcondition on the
-states the runs end in.  Interpolation has one path: Farkas sequence
+generation bug can never produce an unsound proof automaton.  A triple the
+cache does not know is decided in one order: a model the client has found
+refutes it (the statement is run on every model and the postcondition
+evaluated on the states the runs end in), or ``exprs.implies`` proves it
+from its weakest precondition, or one ``lia`` solve decides it.  So a
+triple is called invalid only on a model, and every verdict is the one
+``lia`` would give.  Interpolation has one path: Farkas sequence
 interpolants, with weakest preconditions as the fallback.  A ``safe``
 verdict carries its assertions packed by ``pack_proof`` and its edges as
 one ``pack_edges`` int; rebuilding its automaton needs no solver.
@@ -250,27 +253,20 @@ class EntailmentCache:
         return len(self._data)
 
 
-def syntactic_verdict(pre, wpf):
-    """Validity of a Hoare triple with precondition pre on syntactic grounds,
-    wpf being the weakest precondition of its statement and postcondition,
-    or None when the solver must decide."""
-    if exprs.implies(pre, wpf):
-        return True
-    if wpf == FALSE:
-        return False
-    return None
-
-
 def hoare_verdicts(triples, solver: SolverClient,
                    cache: EntailmentCache | None = None,
                    deadline: float | None = None) -> list[bool]:
     """Validity of each Hoare triple (pre, stmt, post): the one place that
     decides triples.  It decides each triple in order: by the cache; as
-    valid when post is true or pre false; as invalid when a model in the
-    solver's pool refutes it; by syntactic_verdict; else by solving pre and
-    not wp(stmt, post), whose model joins the pool for every triple after
-    it.  New verdicts go into the cache.  A passed deadline raises
-    ResourceLimit('timeout'), checked every 1024 triples.
+    invalid when a model in the solver's pool refutes it; as valid when
+    exprs.implies(pre, wp(stmt, post)) holds; else by solving pre and not
+    wp(stmt, post), whose model joins the pool for every triple after it.
+    A triple is invalid only on a model, so each verdict is the one lia
+    would give.  A triple whose post is true or pre false is valid at once,
+    before the pool: implies proves it and no model refutes it, and every
+    new assertion brings two such triples per letter, which the pool and
+    wp would only slow down.  New verdicts go into the cache.  A passed
+    deadline raises ResourceLimit('timeout'), checked every 1024 triples.
 
     Each formula object is numbered once per call, by id() (the list of
     triples keeps it alive); a pre keeps its pool mask with the pool length
@@ -318,10 +314,8 @@ def hoare_verdicts(triples, solver: SolverClient,
                     wp = wps.get(pair)
                     if wp is None:
                         wp = wps[pair] = wp_stmt(stmt, post)
-                    verdict = syntactic_verdict(pre, wp)
-                    if verdict is None:
-                        verdict = solver.check_sat(
-                            [pre, exprs.negate(wp)])[0] == "unsat"
+                    verdict = exprs.implies(pre, wp) or solver.check_sat(
+                        [pre, exprs.negate(wp)])[0] == "unsat"
             cache.put(key, verdict)
         out.append(verdict)
     return out

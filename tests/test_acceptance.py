@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from hyperweave import cegar, proofdb
+from hyperweave import proofdb
 from hyperweave.antichain import Strategy, check, extract_counterexamples
 from hyperweave.automata import LazyDfa, determinize
 from hyperweave.cegar import VerifyConfig, progress_audit, verify

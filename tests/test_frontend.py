@@ -11,9 +11,8 @@ from hyperweave import exprs, frontend
 from hyperweave.automata import Dfa, minimize
 from hyperweave.cli import run_benchmark
 from hyperweave.frontend import (Assign, Assume, If, Par, ParseError, Seq,
-                                 Stmt, While, compute_dependence, concurrent,
-                                 load_program, lower_to_dfa, parse_program,
-                                 tokenize)
+                                 Stmt, While, load_program, lower_to_dfa,
+                                 parse_program, tokenize)
 from tests.conftest import random_dfa, random_program
 from tests.oracles import shuffle, words_upto
 
@@ -446,14 +445,14 @@ def _work_dump(path: str) -> str:
 # _work_dump, verified under its .expect; benchmarks/nonatomic/ takes
 # seconds, so it is left out
 WORK_DIGESTS = {
-    "parallel/parallelsum1_det": "a89774b2a1e725eb",
-    "parallel/simpleinc": "d93843bdd0ff9c69",
-    "parallel/spaghetti": "a171dd88e3a3ffe4",
-    "sequential/arrayeq_symm": "ee341cd01ee44034",
+    "parallel/parallelsum1_det": "1588995ac015c27e",
+    "parallel/simpleinc": "897dacea085f0694",
+    "parallel/spaghetti": "215046373c2227ee",
+    "sequential/arrayeq_symm": "5187b13fbfd533cc",
     "sequential/mult_dist": "5acd114f32246d0d",
     "sequential/mult_dist_flipped": "ea1e6a3509de16b1",
-    "sequential/security_sec": "43f38beb14b4f73c",
-    "stress/exp1x3": "75d8ac0211b3d257",
+    "sequential/security_sec": "55aeae0a5071bd35",
+    "stress/exp1x3": "2a6c7b7775407644",
     "stress/exp2x2": "60360dd7813c91d1",
     "stress/exp2x3": "8b0d1d99a8eddbfc",
     "unsafe/mult_dist_unsafe": "97b24fd0ce94d404",

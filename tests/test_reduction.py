@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from hyperweave.reduction import (LINEAR, PARTITION, OrderSource,
-                                  ReductionTooLarge, sleep_reduction_lta)
+from hyperweave.reduction import (LINEAR, PARTITION, ReductionTooLarge,
+                                  sleep_reduction_lta)
 from tests.conftest import random_closed_language, random_dep
 from tests.oracles import (classes_of, closure,
                            enumerate_reductions_bruteforce, from_words,
