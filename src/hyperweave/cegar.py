@@ -63,8 +63,8 @@ class Safe:
     packed_proof: bytes = field(repr=False)
     rounds: list
     stats: dict
-    # the confirmed edges, proofdb.pack_edges; kept out of repr, since an
-    # int this long has more decimal digits than str() converts
+    # the confirmed edges, proofdb.pack_edges (proof_nfa adds the implied
+    # ones); kept out of repr: an int this long has too many digits for str()
     edges: int = field(repr=False)
 
     verdict = "safe"

@@ -11,10 +11,13 @@ refutes it (the statement is run on every model and the postcondition
 evaluated on the states the runs end in), or ``exprs.implies`` proves it
 from its weakest precondition, or one ``lia`` solve decides it.  So a
 triple is called invalid only on a model, and every verdict is the one
-``lia`` would give.  Interpolation has one path: Farkas sequence
-interpolants, with weakest preconditions as the fallback.  A ``safe``
-verdict carries its assertions packed by ``pack_proof`` and its edges as
-one ``pack_edges`` int; rebuilding its automaton needs no solver.
+``lia`` would give.  A ``Proof`` keeps true at index 0 and false at 1, and
+``proof_nfa`` adds every edge into true and out of false: those triples hold
+whatever the formulas, so nothing decides them and no edge set holds them.
+Interpolation has one path: Farkas sequence interpolants, with weakest
+preconditions as the fallback.  A ``safe`` verdict carries its assertions
+packed by ``pack_proof`` and its decided edges as one ``pack_edges`` int;
+rebuilding its automaton needs no solver.
 """
 
 from __future__ import annotations
@@ -262,23 +265,18 @@ def hoare_verdicts(triples, solver: SolverClient,
     exprs.implies(pre, wp(stmt, post)) holds; else by solving pre and not
     wp(stmt, post), whose model joins the pool for every triple after it.
     A triple is invalid only on a model, so each verdict is the one lia
-    would give.  A triple whose post is true or pre false is valid at once,
-    before the pool: implies proves it and no model refutes it, and every
-    new assertion brings two such triples per letter, which the pool and
-    wp would only slow down.  New verdicts go into the cache.  A passed
-    deadline raises ResourceLimit('timeout'), checked every 1024 triples.
+    would give.  New verdicts go into the cache.  A passed deadline raises
+    ResourceLimit('timeout'), checked every 1024 triples.
 
     Each formula object is numbered once per call, by id() (the list of
-    triples keeps it alive); a pre keeps its pool mask with the pool length
-    it covers; a (stmt, post) pair computes its wp once; and consecutive
-    triples with one pair share its runs and the mask of the pool models
-    whose run ends where post fails, which is recomputed when a solve grows
-    the pool."""
+    triples keeps it alive); a (stmt, post) pair computes its wp once; and
+    consecutive triples with one pair share its runs and the mask of the
+    pool models whose run ends where post fails, which is recomputed when a
+    solve grows the pool."""
     cache = cache if cache is not None else EntailmentCache()
     triples = list(triples)        # keeps every formula, so every id(), live
     pool = solver.pool
     nums: dict = {}                # id(formula) -> cache number
-    pre_masks: dict = {}           # pre number -> (pool mask, pool length)
     wps: dict = {}                 # (stmt, post number) -> wp(stmt, post)
     pair = None                    # (stmt, post number) of the current run
     out = []
@@ -293,29 +291,22 @@ def hoare_verdicts(triples, solver: SolverClient,
         key = (p, stmt.id, q)
         verdict = cache.get(key)
         if verdict is None:
-            if post == TRUE or pre == FALSE:
-                verdict = True
+            if pair is None or stmt is not pair[0] or q != pair[1]:
+                pair, runs = (stmt, q), solver.runs(stmt)
+                covered = -1
+            if covered != len(pool):
+                runs.catch_up()
+                covered = len(pool)
+                fails = runs.ended & ~runs.mask(post)
+            if fails and fails & solver._pool.mask(pre):
+                solver.pool_hits += 1
+                verdict = False
             else:
-                if pair is None or stmt is not pair[0] or q != pair[1]:
-                    pair, runs = (stmt, q), solver.runs(stmt)
-                    covered = -1
-                if covered != len(pool):
-                    runs.catch_up()
-                    covered = len(pool)
-                    fails = runs.ended & ~runs.mask(post)
-                if fails:
-                    mask = pre_masks.get(p)
-                    if mask is None or mask[1] != covered:
-                        mask = pre_masks[p] = (solver._pool.mask(pre), covered)
-                    if fails & mask[0]:
-                        solver.pool_hits += 1
-                        verdict = False
-                if verdict is None:
-                    wp = wps.get(pair)
-                    if wp is None:
-                        wp = wps[pair] = wp_stmt(stmt, post)
-                    verdict = exprs.implies(pre, wp) or solver.check_sat(
-                        [pre, exprs.negate(wp)])[0] == "unsat"
+                wp = wps.get(pair)
+                if wp is None:
+                    wp = wps[pair] = wp_stmt(stmt, post)
+                verdict = exprs.implies(pre, wp) or solver.check_sat(
+                    [pre, exprs.negate(wp)])[0] == "unsat"
             cache.put(key, verdict)
         out.append(verdict)
     return out
@@ -368,9 +359,10 @@ class Proof:
 class ProofNfaBuilder:
     """Incrementally maintains the proof NFA while the proof grows.
 
-    Only triples involving assertions added since the last build are sent to
-    the solver; everything else is served by the entailment cache or the
-    stored edge set.  deadline is passed on to hoare_verdicts.
+    Only triples involving assertions added since the last build, and none
+    into true or out of false (proof_nfa adds those), are sent to the
+    solver; the rest is served by the entailment cache or the stored edge
+    set.  deadline is passed on to hoare_verdicts.
     """
 
     def __init__(self, alphabet, solver: SolverClient, cache: EntailmentCache,
@@ -386,9 +378,9 @@ class ProofNfaBuilder:
         old_n, n, fs = self.n, len(proof), proof.assertions
         self.n = n
 
-        def new():                 # the triples that involve a new assertion
-            return ((i, stmt, j) for stmt in self.alphabet for j in range(n)
-                    for i in range(n) if i >= old_n or j >= old_n)
+        def new():     # triples with a new assertion, no post true or pre false
+            return ((i, stmt, j) for stmt in self.alphabet for j in range(1, n)
+                    for i in range(n) if i != 1 and (i >= old_n or j >= old_n))
         verdicts = hoare_verdicts([(fs[i], stmt, fs[j]) for i, stmt, j in new()],
                                   self.solver, self.cache, self.deadline)
         self.edges.update((i, stmt.id, j) for (i, stmt, j), valid
@@ -398,11 +390,17 @@ class ProofNfaBuilder:
 
 def proof_nfa(n: int, alphabet, edges) -> Nfa:
     """The proof NFA of a Proof of n assertions: one state per assertion,
-    one transition per (pre index, statement id, post index) edge."""
+    one transition per (pre index, statement id, post index) edge, and on
+    every letter a transition from each state to 0 (true) and from 1 (false)
+    to each state.  Those hold whatever the formulas: {φ} s {true} and
+    {false} s {ψ} are valid for every φ, s and ψ, so no edge set holds them
+    and nothing decides them."""
     stmt_by_id = {s.id: s for s in alphabet}
-    trans: dict = {}
+    trans: dict = {(i, s): {0} for s in alphabet for i in range(n)}
+    for s in alphabet:
+        trans[1, s] = set(range(n))
     for (i, sid, j) in edges:
-        trans.setdefault((i, stmt_by_id[sid]), set()).add(j)
+        trans[i, stmt_by_id[sid]].add(j)
     return Nfa(n, tuple(alphabet), trans, 0, {1})
 
 

@@ -124,6 +124,9 @@ assume(x1 != x2 + x3 + x4);
 NONATOMIC_MULT = open(os.path.join(os.path.dirname(__file__), "..",
                                    "benchmarks", "nonatomic",
                                    "mult_dist.imp")).read()
+SEQUENTIAL_MULT = open(os.path.join(os.path.dirname(__file__), "..",
+                                    "benchmarks", "sequential",
+                                    "mult_dist.imp")).read()
 STATS_KEYS = {"engine", "strategy", "orders", "proof_size", "rounds",
               "cache_entries", "solver_queries", "cache_hits", "cache_misses"}
 
@@ -492,6 +495,44 @@ def test_revalidation_redecides_only_the_loop_edges(monkeypatch):
     assert decided == len(loop.edges)
     assert cache is None and solver is not loop.solver
     assert decided < len(v.proof) ** 2 * len(dfa.alphabet)
+
+
+def test_builder_and_revalidation_never_ask_about_true_or_false_edges(
+        monkeypatch):
+    # their edges into true and out of false come with proof_nfa
+    asked = {"extend": [], "_revalidate": []}
+    real_verdicts = proofdb.hoare_verdicts
+
+    def hoare_verdicts(triples, *args, **kwargs):
+        triples = list(triples)
+        caller = sys._getframe(1).f_code.co_name
+        if caller in asked:
+            asked[caller].extend(triples)
+        return real_verdicts(triples, *args, **kwargs)
+    monkeypatch.setattr(proofdb, "hoare_verdicts", hoare_verdicts)
+    for src, atomic in ((SIMPLEINC, False), (SEQUENTIAL_MULT, True)):
+        dfa, dep, _ = load_program(src, atomic=atomic)
+        assert verify(dfa, dep, VerifyConfig(timeout=60)).verdict == "safe"
+    assert asked["extend"] and asked["_revalidate"]
+    for triples in asked.values():
+        assert not [t for t in triples
+                    if t[2] == exprs.TRUE or t[0] == exprs.FALSE]
+
+
+def test_safe_edges_are_the_decided_edges(monkeypatch):
+    nfas = []
+    real_extend = proofdb.ProofNfaBuilder.extend
+    monkeypatch.setattr(proofdb.ProofNfaBuilder, "extend",
+                        lambda self, proof: nfas.append(
+                            real_extend(self, proof)) or nfas[-1])
+    dfa, dep, _ = load_program(SEQUENTIAL_MULT, atomic=True)
+    v = verify(dfa, dep, VerifyConfig(timeout=60))
+    assert v.verdict == "safe"
+    n = len(v.proof)
+    edges = proofdb.unpack_edges(v.edges, dfa.alphabet, n)
+    assert edges and not [e for e in edges if e[2] == 0 or e[0] == 1]
+    assert determinize(proofdb.proof_nfa(n, dfa.alphabet, edges)) == \
+        determinize(nfas[-1])
 
 
 @pytest.mark.parametrize("name", ["sequential/arrayeq_symm",

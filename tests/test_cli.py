@@ -99,10 +99,12 @@ def test_json_output_roundtrips(tmpfiles, capsys):
     builder, nfa = _full_reproof(dfa, proof)
     api = determinize(nfa, dfa.alphabet)
     assert check(dfa, api, dep, PARTITION).covered
-    # the emitted edges: sorted, each re-proved by a fresh solver, covering
-    # on their own, and exactly the valid triples of the full re-proof
+    # the emitted edges: sorted, none into true or out of false (proof_nfa
+    # adds those), each re-proved by a fresh solver, covering on their own,
+    # and exactly the valid triples of the full re-proof
     edges = [tuple(e) for e in data["edges"]]
     assert edges == sorted(set(edges))
+    assert not [e for e in edges if e[2] == 0 or e[0] == 1]
     fs, stmts = proof.assertions, {s.id: s for s in dfa.alphabet}
     with proofdb.SolverClient() as fresh:
         assert all(proofdb.hoare_verdicts(
@@ -110,6 +112,27 @@ def test_json_output_roundtrips(tmpfiles, capsys):
     nfa = proofdb.proof_nfa(len(proof), dfa.alphabet, edges)
     assert check(dfa, determinize(nfa, dfa.alphabet), dep, PARTITION).covered
     assert set(edges) == builder.edges
+
+
+def test_json_output_of_an_unsafe_verdict(tmpfiles, capsys):
+    _, _, unsafe = tmpfiles
+    assert main(["verify", unsafe, "--format", "json", "--timeout", "60"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["verdict"] == "unsafe"
+    dfa, _, _ = load_program(UNSAFE_SRC)
+    trace = [dfa.alphabet[i] for i in data["trace_ids"]]
+    assert data["trace"] == [s.display for s in trace]
+    assert proofdb.replay(trace, data["model"]) is not None
+
+
+def test_json_output_of_an_unknown_verdict(tmpfiles, capsys, monkeypatch):
+    _, safe, _ = tmpfiles
+    monkeypatch.setattr(lia, "solve_formula", lambda f: ("unknown", None))
+    assert main(["verify", safe, "--format", "json"]) == 2
+    data = json.loads(capsys.readouterr().out)
+    assert data["verdict"] == "unknown"
+    assert data["reason"].startswith("solver failure: ")
+    assert "proof" not in data and "trace" not in data
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -389,6 +412,21 @@ def test_check_dependence_sees_an_order_that_blocks(solver):
         tuple(sorted(s.id for s in dfa.alphabet))]
 
 
+def test_check_dependence_flag_refuses_an_unsound_relation(
+        tmpfiles, capsys, monkeypatch):
+    # compute_dependence never declares a non-commuting pair independent, so
+    # load_program is made to return a relation that does
+    _, safe, _ = tmpfiles
+    dfa, _, ast = load_program("var x; { assume(x > 0); } || { x := x - 1; }")
+    free = DependenceRel(tuple(1 << i for i in range(len(dfa.alphabet))))
+    monkeypatch.setattr(cli, "load_program", lambda *a, **k: (dfa, free, ast))
+    assert main(["verify", safe, "--check-dependence"]) == 2
+    captured = capsys.readouterr()
+    pair = tuple(sorted(s.id for s in dfa.alphabet))
+    assert f"dependence unsound for pairs: {[pair]}" in captured.err
+    assert "verdict" not in captured.out
+
+
 def test_readme_lists_every_verify_flag_and_expect_key():
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     table = readme.split("Useful flags for `verify`:")[1].split("\n\n")[1]
@@ -422,6 +460,19 @@ def test_bench_runs_and_flags_mismatches(tmp_path, capsys):
     by_name = {r["name"]: r for r in report["rows"]}
     assert by_name["good"]["ok"] and not by_name["liar"]["ok"]
     assert os.path.exists(out_prefix + ".csv")
+
+
+def test_bench_strategies_give_one_row_per_strategy(tmp_path, capsys):
+    (tmp_path / "b.imp").write_text(UNSAFE_SRC)
+    (tmp_path / "b.expect").write_text('{"verdict": "unsafe"}')
+    out_prefix = str(tmp_path / "report")
+    assert main(["bench", str(tmp_path), "--strategies", "bpe-rr,bpe-l1",
+                 "--out", out_prefix]) == 0
+    printed = capsys.readouterr().out
+    assert "b[strategy=bpe-rr]" in printed and "b[strategy=bpe-l1]" in printed
+    rows = json.loads(Path(out_prefix + ".json").read_text())["rows"]
+    assert [(r["name"], r["config"], r["ok"]) for r in rows] == [
+        ("b", "strategy=bpe-rr", True), ("b", "strategy=bpe-l1", True)]
 
 
 def test_run_benchmark_helper(tmp_path):

@@ -86,6 +86,23 @@ def test_nonlinear_rejected():
         lower_to_dfa(parse_program("var x, y; x := x * y;"))
 
 
+def test_unary_minus_parentheses_and_negated_conditions():
+    dfa, _, _ = load_program("var x, y; x := -(y + 1) * 2; assume(!(x < y));")
+    assign, assume = dfa.alphabet
+    assert assign.ops == (("assign", "x", ((("y", -2),), -2)),)
+    assert assign.display == "x := (-(y + 1) * 2)"
+    assert assume.ops == (("assume", exprs.atom_from_cmp(
+        ">=", exprs.var("x"), exprs.var("y"))),)
+    assert assume.display == "assume(!(x < y))"
+    # ¬ is !, a double negation cancels, and a parenthesised term nests
+    dfa, _, _ = load_program("var x, y; x := -(-x); assume(¬(x - (y - 3) >= 0));")
+    assign, assume = dfa.alphabet
+    assert assign.ops == (("assign", "x", ((("x", 1),), 0)),)
+    assert assign.display == "x := --x"
+    assert assume.ops == (("assume", ("le", (("x", 1), ("y", -1)), 4)),)
+    assert assume.display == "assume(!((x - (y - 3)) >= 0))"
+
+
 def test_copy_directive():
     src = """
     var w;
@@ -436,7 +453,9 @@ def test_bundled_lowerings_are_pinned():
 
 def _work_dump(path: str) -> str:
     _, v = run_benchmark(path)
+    edges = v.edges.bit_count() if v.verdict == "safe" else 0
     return repr((v.verdict, len(v.rounds), v.stats["proof_size"],
+                 v.stats["cache_entries"], edges,
                  [(r.counterexamples, r.cells, r.fmax_calls, r.births,
                    r.solver_queries, r.pool_hits) for r in v.rounds]))
 
@@ -445,23 +464,24 @@ def _work_dump(path: str) -> str:
 # _work_dump, verified under its .expect; benchmarks/nonatomic/ takes
 # seconds, so it is left out
 WORK_DIGESTS = {
-    "parallel/parallelsum1_det": "1588995ac015c27e",
-    "parallel/simpleinc": "897dacea085f0694",
-    "parallel/spaghetti": "215046373c2227ee",
-    "sequential/arrayeq_symm": "5187b13fbfd533cc",
-    "sequential/mult_dist": "5acd114f32246d0d",
-    "sequential/mult_dist_flipped": "ea1e6a3509de16b1",
-    "sequential/security_sec": "55aeae0a5071bd35",
-    "stress/exp1x3": "2a6c7b7775407644",
-    "stress/exp2x2": "60360dd7813c91d1",
-    "stress/exp2x3": "8b0d1d99a8eddbfc",
-    "unsafe/mult_dist_unsafe": "97b24fd0ce94d404",
+    "parallel/parallelsum1_det": "a3aa4c61f85f597a",
+    "parallel/simpleinc": "810c67edd807bbc8",
+    "parallel/spaghetti": "7588993469ecff9c",
+    "sequential/arrayeq_symm": "c9c2b0ba2b7b6afc",
+    "sequential/mult_dist": "719f83f153a84623",
+    "sequential/mult_dist_flipped": "7517ca2a1c960a39",
+    "sequential/security_sec": "3da1bacf8c75103d",
+    "stress/exp1x3": "ff373e53ad3704d1",
+    "stress/exp2x2": "05d01a1693aa1d59",
+    "stress/exp2x3": "561cb996efc62219",
+    "unsafe/mult_dist_unsafe": "221b45380aba750b",
 }
 
 
 def test_bundled_work_is_pinned():
-    # the work of a verification, round by round: its counterexamples, the
-    # check's cells, evaluations and births, lia solves and pool hits.  A
+    # the work of a verification: the entailment-cache entries and the
+    # edges it carries, and round by round its counterexamples, the check's
+    # cells, evaluations and births, lia solves and pool hits.  A
     # faster check or triple layer keeps them; a change to them must update
     # these digests on purpose
     got = {}

@@ -3,9 +3,10 @@ import random
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
-from hyperweave import exprs, lia
+from hyperweave import exprs, lia, proofdb
 from hyperweave.exprs import atom_from_cmp, var
 from tests.oracles import num
 
@@ -205,3 +206,19 @@ def test_q_divides_exactly(p, q):
     assert r == Fraction(p) / q
     assert (type(r) is int) == ((Fraction(p) / q).denominator == 1)
     assert lia._q(r) == r and type(lia._q(r)) is type(r)
+
+
+# an integer system whose relaxation is fractional: branch and bound finds
+# x = 1, y = -1, z = -1, but not within one node
+FRACTIONAL = [((("x", -2), ("z", 5)), 6), ((("y", 5), ("z", -2)), -1),
+              ((("x", 3), ("z", 2)), -6)]
+
+
+def test_a_spent_branch_budget_answers_unknown(monkeypatch):
+    assert lia.solve_facets(FRACTIONAL)[0] == "sat"
+    monkeypatch.setattr(lia, "BRANCH_BUDGET", 1)
+    assert lia.solve_facets(FRACTIONAL) == ("unknown", None)
+    f = exprs.c_and([("le", coeffs, k) for coeffs, k in FRACTIONAL])
+    assert lia.solve_formula(f) == ("unknown", None)
+    with pytest.raises(proofdb.SolverError, match="unknown"):
+        proofdb.SolverClient().check_sat([f])

@@ -379,6 +379,24 @@ def test_proof_nfa_true_never_final(solver):
     assert 0 not in nfa.finals
 
 
+def test_proof_nfa_has_the_edges_into_true_and_out_of_false():
+    # {phi} s {true} and {false} s {psi} hold whatever the formulas: the
+    # automaton has them with no edge given
+    dfa, _, _ = load_program("var x, y; x := 1; y := x; assume(x = y);")
+    n = 4
+    nfa = proofdb.proof_nfa(n, dfa.alphabet, [])
+    for s in dfa.alphabet:
+        assert successors(nfa, 1, s) == set(range(n))
+        for i in range(n):
+            assert 0 in successors(nfa, i, s)
+        for i in (0, 2, 3):
+            assert successors(nfa, i, s) == {0}
+    # a given edge is added to them
+    a = dfa.alphabet[0]
+    nfa = proofdb.proof_nfa(n, dfa.alphabet, [(2, a.id, 3)])
+    assert successors(nfa, 2, a) == {0, 3}
+
+
 def test_edges_pack_and_unpack():
     dfa, _, _ = load_program("var x, y; x := 1; y := x; assume(x = y);")
     rng = random.Random(7)
